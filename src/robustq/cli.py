@@ -172,6 +172,8 @@ _SCHEMAS: Dict[str, dict] = {
         "t_final": (False, _NUM, 0.25),
     },
 }
+# inclusive lower bounds of parameters, in whichever experiment has them
+_LOWER_BOUNDS = {"n_points": 3, "max_iter": 1, "tol": 0}
 
 
 def validate_config(raw) -> RunConfig:
@@ -258,6 +260,15 @@ def validate_config(raw) -> RunConfig:
             if kind not in kinds:
                 diags.append(f"parameters.{key}.kind: must be one of "
                              f"{', '.join(sorted(kinds))}; got {kind!r}")
+    for key, least in _LOWER_BOUNDS.items():
+        # "not >=" also rejects NaN
+        if key in params and not params[key] >= least:
+            diags.append(f"parameters.{key}: must be at least {least}; "
+                         f"got {params[key]!r}")
+    if ("x_min" in params and "x_max" in params
+            and not params["x_max"] > params["x_min"]):
+        diags.append(f"parameters.x_max: must exceed parameters.x_min "
+                     f"({params['x_min']!r}); got {params['x_max']!r}")
     if diags:
         raise ConfigError(diags)
     return RunConfig(experiment=experiment, parameters=params,

@@ -5,8 +5,9 @@ Conventions shared by the stationary and dynamic solvers:
 * normalisation uses the plain node sum, ``h * sum(values)``;
 * integrals of smooth integrands use trapezoidal quadrature;
 * first derivatives use second-order central differences in the interior
-  and second-order one-sided stencils at the two edge nodes
-  (:func:`gradient` below, identical to ``numpy.gradient``).
+  and first-order one-sided differences at the two edge nodes
+  (:func:`gradient` below, identical to ``numpy.gradient`` with its default
+  ``edge_order=1``).
 
 Field values are immutable snapshots: arrays are copied on construction and
 marked read-only, so fields can be shared freely between workers.
@@ -126,22 +127,41 @@ def normalized_wave(grid: Grid1D, values) -> WaveField:
 
 
 def gradient(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Second-order first derivative (central interior, one-sided edges)."""
-    return np.gradient(values, spacing)
+    """First derivative: central differences inside, one-sided at the edges.
+
+    Matches ``numpy.gradient(values, spacing, axis=-1)`` bit for bit; stacked
+    rows (shape (..., n), n >= 3) are differentiated row by row in one call.
+    """
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.inexact):
+        values = values.astype(np.float64)
+    h = spacing
+    n = values.shape[-1]
+    out = np.empty_like(values)
+    np.subtract(values[..., 2:], values[..., :-2], out=out[..., 1:-1])
+    out[..., 1:-1] /= 2.0 * h
+    # both edges at once: columns (1, n-1) minus columns (0, n-2)
+    np.subtract(values[..., 1::n - 2], values[..., 0:n - 1:n - 2],
+                out=out[..., ::n - 1])
+    out[..., ::n - 1] /= h
+    return out
 
 
 def gradient_adjoint(weights: np.ndarray, spacing: float) -> np.ndarray:
-    """Adjoint of :func:`gradient` as a linear map on node vectors."""
-    h = spacing
-    r = np.zeros_like(weights)
-    r[2:] += weights[1:-1] / (2 * h)
-    r[:-2] -= weights[1:-1] / (2 * h)
-    r[0] += -1.5 * weights[0] / h
-    r[1] += 2.0 * weights[0] / h
-    r[2] += -0.5 * weights[0] / h
-    r[-1] += 1.5 * weights[-1] / h
-    r[-2] += -2.0 * weights[-1] / h
-    r[-3] += 0.5 * weights[-1] / h
+    """Transpose of :func:`gradient` as a linear map on node vectors.
+
+    ``gradient(x) @ y == x @ gradient_adjoint(y)`` for all x and y; stacked
+    rows (shape (..., n), n >= 3) are transposed row by row.
+    """
+    # u_i is row i's stencil coefficient: 1/h on the one-sided edge rows,
+    # 1/(2h) on the central rows; row i puts -u_i on its left node and
+    # +u_i on its right node
+    u = weights / spacing
+    u[..., 1:-1] *= 0.5
+    r = np.empty_like(u)
+    np.subtract(u[..., :-2], u[..., 2:], out=r[..., 1:-1])
+    r[..., 0] = -(u[..., 0] + u[..., 1])
+    r[..., -1] = u[..., -2] + u[..., -1]
     return r
 
 

@@ -16,17 +16,19 @@ whose extrema solve the linear stationary wave equation
 -psi'' + (m lambda / 2)(V - E) psi = 0.  With lambda = 4 / hbar^2 that is
 the time-independent Schroedinger equation.  The module provides both
 routes: a symmetric tridiagonal eigensolver for the linear form and a
-projected gradient minimiser for the nonlinear form, so each cross-checks
+projected L-BFGS minimiser for the nonlinear form, so each cross-checks
 the other.
 
-Discretisation: second-order central differences, trapezoidal quadrature,
-Dirichlet-zero boundaries, node exclusion below ``DENSITY_FLOOR`` in 1/P
-terms.  Default units hbar = m = 1, lambda = 4.
+Discretisation: second-order central differences (first-order one-sided at
+the two edge nodes), trapezoidal quadrature, Dirichlet-zero boundaries,
+node exclusion below ``DENSITY_FLOOR`` in 1/P terms.  Default units
+hbar = m = 1, lambda = 4.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -39,6 +41,7 @@ from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, gradient,
 
 DEFAULT_HBAR = 1.0
 DEFAULT_MASS = 1.0
+LBFGS_MEMORY = 10  # curvature pairs kept by minimize_functional
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +290,7 @@ def shift_covariance_check(problem: StationaryProblem, grid: Grid1D,
 
 
 # ---------------------------------------------------------------------------
-# nonlinear route: projected gradient descent on the discrete objective
+# nonlinear route: projected L-BFGS descent on the discrete objective
 # ---------------------------------------------------------------------------
 
 def _discrete_objective_and_gradient(p, s, v, energy, mass, lam, h, w, floor):
@@ -299,18 +302,15 @@ def _discrete_objective_and_gradient(p, s, v, energy, mass, lam, h, w, floor):
     :func:`grid.gradient` and its adjoint), so central finite differences of
     the value match it to rounding.
     """
-    gp = gradient(p, h)
-    gs = gradient(s, h)
+    gp, gs = gradient(np.array((p, s)), h)
     mask = p >= floor
-    log_slope = np.zeros_like(p)
-    log_slope[mask] = gp[mask] / p[mask]
-    fisher_integrand = np.where(mask, gp * log_slope, 0.0)
-    coeff = gs ** 2 + 2.0 * mass * (v - energy)
-    value = float(np.sum(w * (fisher_integrand + lam * coeff * p)))
-    grad_p = (-w * np.where(mask, log_slope ** 2, 0.0)
-              + gradient_adjoint(2.0 * w * log_slope, h)
-              + lam * w * coeff)
-    grad_s = gradient_adjoint(2.0 * lam * w * gs * p, h)
+    # P'/P, zero at the nodes below the floor (they drop out of 1/P terms)
+    log_slope = np.where(mask, gp, 0.0) / np.where(mask, p, 1.0)
+    coeff = gs * gs + 2.0 * mass * (v - energy)
+    value = float(w @ (gp * log_slope + lam * coeff * p))
+    back_p, grad_s = gradient_adjoint(
+        np.array((2.0 * w * log_slope, (2.0 * lam) * w * gs * p)), h)
+    grad_p = back_p + w * (lam * coeff - log_slope * log_slope)
     return value, grad_p, grad_s
 
 
@@ -326,81 +326,130 @@ def functional_gradient(density: ScalarField, action: ScalarField,
     return grad_p, grad_s
 
 
+def _lbfgs_direction(grad, pairs):
+    """-H grad by the L-BFGS two-loop recursion (Nocedal & Wright, alg. 7.4).
+
+    ``pairs`` holds (step, gradient change, 1 / their inner product), oldest
+    first.  The initial inverse Hessian is gamma times the identity, with
+    gamma = (step . change) / (change . change) of the newest pair.
+    """
+    _, dy, rho = pairs[-1]
+    gamma = 1.0 / (rho * float(dy @ dy))
+    q = -grad
+    alphas = []
+    for ds, dy, rho in reversed(pairs):
+        a = rho * float(ds @ q)
+        q -= a * dy
+        alphas.append(a)
+    q *= gamma
+    for (ds, dy, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(dy @ q)) * ds
+    return q
+
+
 def minimize_functional(problem: StationaryProblem, grid: Grid1D,
                         init: Tuple[ScalarField, ScalarField],
                         max_iter: int = 200_000, tol: float = 1e-15,
                         floor: float = DENSITY_FLOOR) -> MinimizeResult:
-    """Projected gradient descent on the discrete robustness objective.
+    """Projected L-BFGS descent on the discrete robustness objective.
 
-    Each step moves (P, S) against the analytic gradient, clamps P to the
-    floor, and renormalises h * sum P = 1; S is unconstrained.  The step
-    length is the spectral (Barzilai-Borwein) estimate, capped by a ratio
-    test that keeps P interior (at most 90% of the smallest P/grad ratio
-    among descending nodes) and halved until the objective strictly
-    decreases, so the returned value history is monotone nonincreasing.
+    Each step moves (P, S) along a search direction, clamps P to the floor,
+    renormalises h * sum P = 1 and clamps again, so every iterate keeps all
+    nodes in the 1/P terms (the returned density is renormalised once more,
+    exactly); S is unconstrained.  The direction is the
+    limited-memory quasi-Newton one built from the last ``LBFGS_MEMORY``
+    steps (Liu & Nocedal 1989).  The step length starts at 1, is capped by
+    a ratio test that keeps P interior (at most 90% of the smallest
+    P/|direction| ratio among shrinking nodes) and is halved until the
+    objective strictly decreases, so the returned value history is
+    monotone nonincreasing.
 
-    Terminates when the relative decrease falls below ``tol``, when no
-    float-representable step decreases the objective (a stationary point of
-    the projected problem), or at ``max_iter``; only the last case reports
+    When the quasi-Newton direction is not a descent direction, or no
+    halving of it decreases the objective, the memory is dropped and the
+    same iteration retries along the gradient, scaled by the spectral
+    (Barzilai-Borwein) step length of the newest pair.  Terminates when
+    the relative decrease falls below ``tol``, when that gradient step
+    finds no float-representable decrease (a stationary point of the
+    projected problem), or at ``max_iter``; only the last case reports
     ``converged=False`` with the best iterate.
     """
     density0, action0 = init
     g = _require_shared_grid(density0, action0, problem.potential)
     if not g.compatible_with(grid):
         raise ValueError("init fields must live on the requested grid")
+    n = g.n_points
     h = g.spacing
-    w = trapezoid_weights(g.n_points, h)
+    w = trapezoid_weights(n, h)
     v = problem.potential.values
 
     def project(p):
+        # the second clamp keeps renormalisation from leaving a clamped node
+        # just below the floor: there it would drop out of the 1/P terms,
+        # and the objective would jump up at any step that lifts it back
         p = np.maximum(p, floor)
-        return p / (h * p.sum())
+        return np.maximum(p / (h * p.sum()), floor)
 
-    p = project(np.array(density0.values))
-    s = np.array(action0.values)
-    value, grad_p, grad_s = _discrete_objective_and_gradient(
-        p, s, v, problem.energy, problem.mass, problem.lam, h, w, floor)
+    def evaluate(x):
+        value, grad_p, grad_s = _discrete_objective_and_gradient(
+            x[:n], x[n:], v, problem.energy, problem.mass, problem.lam, h, w,
+            floor)
+        return value, np.concatenate((grad_p, grad_s))
+
+    def descend(x, value, direction):
+        """First halving of the capped step that lowers the objective."""
+        p, dp = x[:n], direction[:n]
+        step = 1.0
+        shrinking = (dp < 0) & (p > floor)
+        if shrinking.any():
+            step = min(step, 0.9 * float(np.min(p[shrinking]
+                                                / -dp[shrinking])))
+        for _ in range(100):
+            x_new = x + step * direction
+            x_new[:n] = project(x_new[:n])
+            value_new, grad_new = evaluate(x_new)
+            if value_new < value:
+                return x_new, value_new, grad_new
+            step *= 0.5
+        return None
+
+    x = np.concatenate((project(density0.values), action0.values))
+    value, grad = evaluate(x)
     history = [value]
+    pairs = deque(maxlen=LBFGS_MEMORY)
     alpha = 1e-4
-    prev = None
     iterations = 0
     converged = False
     while iterations < max_iter:
         iterations += 1
-        if prev is not None:
-            dx = np.concatenate([p - prev[0], s - prev[1]])
-            dg = np.concatenate([grad_p - prev[2], grad_s - prev[3]])
-            curvature = float(dx @ dg)
-            if curvature > 0 and math.isfinite(curvature):
-                alpha = min(max(float(dx @ dx) / curvature, 1e-12), 1e3)
-        descending = (grad_p > 0) & (p > floor)
-        step = alpha
-        if descending.any():
-            step = min(alpha, 0.9 * float(np.min(p[descending]
-                                                 / grad_p[descending])))
-        accepted = False
-        for _ in range(100):
-            p_new = project(p - step * grad_p)
-            s_new = s - step * grad_s
-            value_new, gp_new, gs_new = _discrete_objective_and_gradient(
-                p_new, s_new, v, problem.energy, problem.mass, problem.lam,
-                h, w, floor)
-            if value_new < value:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
+        found = None
+        if pairs:
+            direction = _lbfgs_direction(grad, pairs)
+            if float(direction @ grad) < 0:
+                found = descend(x, value, direction)
+        if found is None:
+            pairs.clear()
+            found = descend(x, value, -alpha * grad)
+        if found is None:
             converged = True  # no representable descent direction remains
             break
+        x_new, value_new, grad_new = found
+        ds = x_new - x
+        dy = grad_new - grad
+        curvature = float(ds @ dy)
+        if curvature > 0 and math.isfinite(curvature):
+            pairs.append((ds, dy, 1.0 / curvature))
+            alpha = min(max(float(ds @ ds) / curvature, 1e-12), 1e3)
         decrease = value - value_new
-        prev = (p, s, grad_p, grad_s)
-        p, s, value, grad_p, grad_s = p_new, s_new, value_new, gp_new, gs_new
+        x, value, grad = x_new, value_new, grad_new
         history.append(value)
         if decrease < tol * max(1.0, abs(value)):
             converged = True
             break
+    # the second clamp in project() can add up to (x_max - x_min) * floor of
+    # mass; the returned density is renormalised exactly
+    density = x[:n] / (h * x[:n].sum())
     return MinimizeResult(
-        density=ScalarField(g, p, kind="density"),
-        action=ScalarField(g, s, kind="action"),
+        density=ScalarField(g, density, kind="density"),
+        action=ScalarField(g, x[n:], kind="action"),
         value=value, iterations=iterations, converged=converged,
         history=np.array(history))

@@ -262,3 +262,38 @@ class TestThreadCap:
         run(raw, output_dir=str(tmp_path / "parallel"))
         assert (tmp_path / "serial" / "scan.csv").read_bytes() == \
             (tmp_path / "parallel" / "scan.csv").read_bytes()
+
+
+class TestRangeChecks:
+    """Out-of-range grid and minimiser parameters exit 2 and name the key."""
+
+    CASES = [
+        ("tise-solve", {"n_points": 2}, "parameters.n_points"),
+        ("tise-minimize", {"n_points": 1}, "parameters.n_points"),
+        ("tdse-run", {"t_final": 0.01, "n_points": 2}, "parameters.n_points"),
+        ("gauge-check", {"n_points": 0}, "parameters.n_points"),
+        ("tise-solve", {"x_min": 1.0, "x_max": 1.0}, "parameters.x_max"),
+        ("tdse-run", {"t_final": 0.01, "x_min": 5.0, "x_max": -5.0},
+         "parameters.x_max"),
+        ("tise-minimize", {"max_iter": 0}, "parameters.max_iter"),
+        ("tise-minimize", {"tol": -1e-9}, "parameters.tol"),
+    ]
+
+    @pytest.mark.parametrize("experiment,params,key", CASES)
+    def test_exit_2_names_key(self, experiment, params, key, tmp_path,
+                              capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment,
+                                    "parameters": params}))
+        for command in (["validate"], ["run", "--output-dir",
+                                       str(tmp_path / "out")]):
+            assert main([command[0], "--config", str(path)]
+                        + command[1:]) == 2
+            assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_boundary_values_accepted(self):
+        config = validate_config({
+            "experiment": "tise-minimize",
+            "parameters": {"n_points": 3, "max_iter": 1, "tol": 0.0}})
+        assert config.parameters["n_points"] == 3

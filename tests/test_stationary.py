@@ -18,6 +18,7 @@ from robustq import (Grid1D, ScalarField, StationaryProblem, WaveField,
                      madelung_split, minimize_functional, normalized_wave,
                      shift_covariance_check, solve_eigen, wave_functional)
 from robustq.errors import DomainError
+from robustq.grid import gradient, gradient_adjoint
 
 
 def grid_on(a, b, n):
@@ -327,21 +328,58 @@ class TestFunctionalEquivalence:
             assert 3.5 <= a / b <= 4.5
 
 
+class TestGridStencils:
+    """The derivative stencil and its transpose, probed at every node."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 131])
+    def test_adjoint_identity(self, n):
+        rng = np.random.default_rng(n)
+        h = 0.37
+        for _ in range(5):
+            x, y = rng.normal(size=(2, n))
+            lhs = float(gradient(x, h) @ y)
+            rhs = float(x @ gradient_adjoint(y, h))
+            scale = float(np.abs(gradient(x, h)).max() * np.abs(y).sum())
+            assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 131])
+    def test_matches_numpy_gradient_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        real = rng.normal(size=n)
+        wave = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for values in (real, wave, np.arange(n)):
+            assert np.array_equal(gradient(values, 0.37),
+                                  np.gradient(values, 0.37))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 131])
+    def test_stacked_rows_match_single_rows(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(2, n))
+        stacked = gradient(rows, 0.37)
+        back = gradient_adjoint(rows, 0.37)
+        for k in range(2):
+            assert np.array_equal(stacked[k], np.gradient(rows[k], 0.37))
+            assert np.array_equal(back[k], gradient_adjoint(rows[k], 0.37))
+
+
 class TestMinimizeFunctional:
     @staticmethod
-    def setup_problem(n=131, half_width=3.25):
+    def setup_problem(n=131, half_width=3.25,
+                      potential=lambda x: 0.5 * x ** 2):
         grid = grid_on(-half_width, half_width, n)
-        energy, ground = solve_eigen(harmonic_problem(grid), grid, 1)[0]
-        problem = harmonic_problem(grid, energy=energy)
+        field = ScalarField(grid, potential(grid.nodes()), kind="potential")
+        energy, ground = solve_eigen(StationaryProblem(field, 0.0), grid, 1)[0]
+        problem = StationaryProblem(field, energy)
         uniform = np.ones(n)
         uniform /= grid.spacing * uniform.sum()
         init = (ScalarField(grid, uniform, kind="density"),
                 ScalarField(grid, np.zeros(n), kind="action"))
         return grid, problem, ground, init
 
-    def test_gradient_matches_finite_differences(self):
-        grid, problem, _, init = self.setup_problem(n=61, half_width=3.0)
-        rng = np.random.default_rng(6)
+    def assert_gradient_matches_fd(self, nodes):
+        """functional_gradient against central finite differences of
+        density_functional at ``nodes`` of a 61-node grid, for both fields."""
+        grid, problem, _, _ = self.setup_problem(n=61, half_width=3.0)
         x = grid.nodes()
         density = gaussian_density(grid, 1.1)
         action = ScalarField(grid, 0.2 * np.sin(x), kind="action")
@@ -357,7 +395,6 @@ class TestMinimizeFunctional:
                                       ScalarField(grid, s_vals,
                                                   kind="action"), problem)
 
-        nodes = rng.choice(np.arange(5, 56), size=20, replace=False)
         for node in nodes:
             for which, grad in (("p", grad_p), ("s", grad_s)):
                 target = base_p if which == "p" else base_s
@@ -371,7 +408,39 @@ class TestMinimizeFunctional:
                     up, dn = value_of(base_p, up_vals), value_of(base_p, dn_vals)
                 numeric = (up - dn) / (2 * h_fd)
                 assert numeric == pytest.approx(grad[node], rel=1e-6,
-                                                abs=1e-9)
+                                                abs=1e-9), (which, node)
+
+    def test_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(6)
+        self.assert_gradient_matches_fd(
+            rng.choice(np.arange(5, 56), size=20, replace=False))
+
+    def test_gradient_matches_finite_differences_at_edges(self):
+        self.assert_gradient_matches_fd([0, 1, 2, 58, 59, 60])
+
+    def test_default_config_converges_quickly(self):
+        # the tise-minimize defaults: the same setup as acceptance criterion 10
+        grid, problem, ground, init = self.setup_problem()
+        result = minimize_functional(problem, grid, init)
+        assert result.converged
+        assert result.iterations <= 10_000
+        assert np.max(np.abs(result.density.values
+                             - ground.density_values())) <= 1e-3
+
+    @pytest.mark.parametrize("potential,reference", [
+        (lambda x: 0.5 * 2.0 ** 2 * x ** 2, 8.8714),
+        (lambda x: 1.0 * x, -2.4361),
+    ], ids=["harmonic-omega-2", "linear-slope-1"])
+    def test_hard_potentials_beat_long_gradient_runs(self, potential,
+                                                     reference):
+        # reference: the objective that projected Barzilai-Borwein gradient
+        # descent reaches after 200,000 iterations from the same start; the
+        # quasi-Newton minimiser must get at least as low in 3,000
+        grid, problem, _, init = self.setup_problem(potential=potential)
+        result = minimize_functional(problem, grid, init, max_iter=3000)
+        assert result.value <= reference
+        assert np.all(np.diff(result.history) <= 0)
+        assert result.density.values.min() >= 1e-12
 
     def test_history_is_monotone(self):
         grid, problem, _, init = self.setup_problem(n=81, half_width=3.0)
@@ -394,6 +463,25 @@ class TestMinimizeFunctional:
                                      tol=0.0)
         assert not result.converged
         assert result.iterations == 5
+
+    def test_wide_domain_at_the_floor_returns_a_normalised_density(self):
+        # on [-1000, 1000] the floor nodes hold 2e-9 of mass, so the clamp
+        # after renormalising moves h * sum P off 1 by more than the 1e-10
+        # a density field accepts unless the result is renormalised
+        grid = grid_on(-1000.0, 1000.0, 2001)
+        x = grid.nodes()
+        field = ScalarField(grid, 0.5 * x ** 2, kind="potential")
+        problem = StationaryProblem(field, 0.5)
+        spike = np.maximum(np.where(np.abs(x) < 5.0, np.exp(-x ** 2 / 8), 0.0),
+                           1e-12)
+        spike /= grid.spacing * spike.sum()
+        init = (ScalarField(grid, spike, kind="density"),
+                ScalarField(grid, np.zeros(grid.n_points), kind="action"))
+        for max_iter in (1, 2):
+            result = minimize_functional(problem, grid, init,
+                                         max_iter=max_iter)
+            mass = grid.spacing * result.density.values.sum()
+            assert abs(mass - 1.0) <= 1e-13
 
 
 def _raw_field(grid, values):

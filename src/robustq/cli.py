@@ -4,8 +4,8 @@ Usage:
     robustq run --config cfg.json [--output-dir DIR]
     robustq validate --config cfg.json
 
-Exit status: 0 success, 2 config validation failure, 3 numerical failure
-(the module error name lands in the manifest).  Stochastic experiments
+Exit status: 0 success, 2 config validation failure, 3 any other failure
+(the exception's class name lands in the manifest).  Stochastic experiments
 require an explicit seed; identical (config, version) pairs produce
 byte-identical CSV output.  The environment variable ROBUSTQ_THREADS caps
 the worker count for parameter scans.
@@ -21,34 +21,29 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from . import dynamic, eprb, inference, rng, stationary, sterngerlach
-from .errors import ConfigError, RobustqError
-from .grid import Grid1D, ScalarField, normalized_wave
+from .errors import ConfigError, InvalidModelError, RobustqError
+from .grid import Grid1D, ScalarField, WaveField, normalized_wave
 
 THREADS_ENV = "ROBUSTQ_THREADS"
-
-EXPERIMENTS = (
-    "eprb-scan", "eprb-simulate", "sg-scan", "evidence", "count-maximizer",
-    "tise-solve", "tise-minimize", "tdse-run", "gauge-check",
-)
-STOCHASTIC = {"eprb-scan", "eprb-simulate", "sg-scan"}
 
 
 @dataclass(frozen=True, eq=False)
 class Physics:
-    hbar: float = 1.0
-    mass: float = 1.0
-    lam: float = 4.0
-    charge: float = 1.0
-    light_speed: float = 1.0
-    default_units: bool = True
+    hbar: float
+    mass: float
+    lam: float
+    charge: float
+    light_speed: float
+    default_units: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,197 +78,233 @@ class RunManifest:
 
 
 # ---------------------------------------------------------------------------
-# config validation
+# config declarations and validation
 # ---------------------------------------------------------------------------
 
-_PHYSICS_KEYS = {"hbar", "mass", "lambda", "charge", "light_speed",
-                 "default_units"}
-_TOP_KEYS = {"experiment", "parameters", "physics", "seed", "output_dir"}
+_REQUIRED = object()
 
-# parameter schema per experiment: name -> (required, type, default)
-_NUM = (int, float)
 
-# admissible "kind" discriminators of the structured parameters
-_KIND_SETS = {
-    "model": {"singlet", "triplet_z0", "general"},
-    "potential": {"harmonic", "zero", "box", "linear"},
-    "initial": {"gaussian"},
-    "vector_potential": {"zero", "uniform_sin", "harmonic"},
-    "scalar_potential": {"zero", "uniform_sin", "harmonic"},
-    "chi": {"x_sin_t", "constant"},
+@dataclass(frozen=True)
+class Field:
+    """One config key: its type, default and admissible range.
+
+    ``type`` is int, float (any finite number), bool, str, list (nonempty,
+    entries per ``items``) or dict (members per ``fields`` or, with
+    ``kinds``, per its "kind").  A default of None leaves the key unset, as
+    does JSON null.  ``least``/``most`` are inclusive, ``above`` exclusive.
+    """
+
+    type: type
+    default: Any = _REQUIRED
+    least: Optional[float] = None
+    most: Optional[float] = None
+    above: Optional[float] = None
+    choices: tuple = ()
+    items: Optional["Field"] = None
+    fields: Optional[Dict[str, "Field"]] = None
+    kinds: Optional[Dict[str, Dict[str, "Field"]]] = None
+
+
+_MODEL = Field(dict, {"kind": "singlet"}, kinds={
+    "singlet": {}, "triplet_z0": {},
+    # the library owns the admissible (K, phi); see _check_relations
+    "general": {"K": Field(int, 1), "phi": Field(float, 0.0)},
+})
+_POTENTIAL = Field(dict, {"kind": "harmonic"}, kinds={
+    "harmonic": {"omega": Field(float, 1.0), "center": Field(float, 0.0)},
+    "zero": {}, "box": {},
+    "linear": {"slope": Field(float, 1.0)},
+})
+_INITIAL = Field(dict, {"kind": "gaussian"}, kinds={
+    "gaussian": {"sigma": Field(float, 1.0, above=0), "x0": Field(float, 0.0),
+                 "k0": Field(float, 0.0)},
+})
+_GAUGE = Field(dict, {"kind": "zero"}, kinds={
+    "zero": {},
+    "uniform_sin": {"amplitude": Field(float, 1.0),
+                    "omega": Field(float, 1.0)},
+    "harmonic": {"omega": Field(float, 1.0)},
+})
+_CHI = Field(dict, {"kind": "x_sin_t"}, kinds={
+    "x_sin_t": {"amplitude": Field(float, 1.0)},
+    "constant": {"value": Field(float, 1.0)},
+})
+
+_PHYSICS = {
+    "hbar": Field(float, 1.0, above=0),
+    "mass": Field(float, 1.0, above=0),
+    "lambda": Field(float, None, above=0),  # unset: 4 / hbar^2
+    "charge": Field(float, 1.0),
+    "light_speed": Field(float, 1.0, above=0),
+    "default_units": Field(bool, True),
 }
-_SCHEMAS: Dict[str, dict] = {
-    "eprb-scan": {
-        "model": (False, dict, {"kind": "singlet"}),
-        "theta_start": (False, _NUM, 0.0),
-        "theta_stop": (False, _NUM, math.pi),
-        "steps": (False, int, 64),
-        "trials": (True, int, None),
-    },
-    "eprb-simulate": {
-        "model": (False, dict, {"kind": "singlet"}),
-        "theta": (True, _NUM, None),
-        "trials": (True, int, None),
-    },
-    "sg-scan": {
-        "branch_sign": (False, int, 1),
-        "theta_start": (False, _NUM, 0.0),
-        "theta_stop": (False, _NUM, math.pi),
-        "steps": (False, int, 64),
-        "trials": (True, int, None),
-    },
-    "evidence": {
-        "model": (False, dict, {"kind": "singlet"}),
-        "theta": (True, _NUM, None),
-        "trials": (True, int, None),
-        "epsilons": (True, list, None),
-    },
-    "count-maximizer": {
-        "n_outcomes": (True, int, None),
-        "n_total": (True, int, None),
-        "probs": (False, list, None),
-        "counts": (False, list, None),
-    },
-    "tise-solve": {
-        "potential": (False, dict, {"kind": "harmonic", "omega": 1.0}),
-        "x_min": (False, _NUM, -10.0),
-        "x_max": (False, _NUM, 10.0),
-        "n_points": (False, int, 1001),
-        "n_states": (False, int, 4),
-    },
-    "tise-minimize": {
-        "potential": (False, dict, {"kind": "harmonic", "omega": 1.0}),
-        "x_min": (False, _NUM, -3.25),
-        "x_max": (False, _NUM, 3.25),
-        "n_points": (False, int, 131),
-        "max_iter": (False, int, 200000),
-        "tol": (False, _NUM, 1e-15),
-    },
-    "tdse-run": {
-        "initial": (False, dict, {"kind": "gaussian", "sigma": 1.0,
-                                  "x0": 0.0, "k0": 0.0}),
-        "vector_potential": (False, dict, {"kind": "zero"}),
-        "scalar_potential": (False, dict, {"kind": "zero"}),
-        "x_min": (False, _NUM, -20.0),
-        "x_max": (False, _NUM, 20.0),
-        "n_points": (False, int, 2001),
-        "dt": (False, _NUM, 1e-3),
-        "t_final": (True, _NUM, None),
-        "sample_stride": (False, int, 10),
-    },
-    "gauge-check": {
-        "initial": (False, dict, {"kind": "gaussian", "sigma": 1.0,
-                                  "x0": 0.0, "k0": 0.0}),
-        "chi": (False, dict, {"kind": "x_sin_t", "amplitude": 1.0}),
-        "x_min": (False, _NUM, -20.0),
-        "x_max": (False, _NUM, 20.0),
-        "n_points": (False, int, 4001),
-        "dt": (False, _NUM, 1e-3),
-        "t_final": (False, _NUM, 0.25),
-    },
+_TOP = {
+    "experiment": Field(str),
+    "physics": Field(dict, {}, fields=_PHYSICS),
+    "output_dir": Field(str, "."),
 }
-# inclusive lower bounds of parameters, in whichever experiment has them
-_LOWER_BOUNDS = {"n_points": 3, "max_iter": 1, "tol": 0}
+
+_TRIALS = Field(int, least=1)
+_DT = Field(float, 1e-3, above=0)
+_SCAN = {
+    "theta_start": Field(float, 0.0),
+    "theta_stop": Field(float, math.pi),
+    "steps": Field(int, 64, least=0),
+    "trials": _TRIALS,
+}
+
+
+def _grid_fields(x_min: float, x_max: float, n_points: int) -> dict:
+    return {"x_min": Field(float, x_min), "x_max": Field(float, x_max),
+            "n_points": Field(int, n_points, least=3)}
+
+
+class Experiment(NamedTuple):
+    """An experiment: its handler, whether it needs a seed, its parameters."""
+
+    handler: Callable[[RunConfig], dict]
+    stochastic: bool
+    parameters: Dict[str, Field]
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
+
+
+def _check_object(raw: dict, fields: Dict[str, Field], prefix: str,
+                  diags: list) -> dict:
+    """Validated copy of the object ``raw`` with its defaults filled in;
+    ``prefix`` is its key path with a trailing dot ("" at the root)."""
+    for key in raw:
+        if key not in fields:
+            diags.append(f"{prefix}{key}: unknown key")
+    out = {}
+    for key, field in fields.items():
+        value = raw.get(key, field.default)
+        if value is None and field.default is None:
+            continue  # an unset optional key
+        if value is _REQUIRED:
+            diags.append(f"{prefix}{key}: required")
+            continue
+        value = _check_value(value, field, prefix + key, diags)
+        if value is not None:
+            out[key] = value
+    return out
+
+
+def _check_value(value, field: Field, path: str, diags: list):
+    """``value`` checked against ``field``: integral floats become int and
+    numbers become float.  None after a diagnostic."""
+    def fail(message):
+        diags.append(f"{path}: {message}")
+
+    if field.type is dict:
+        if not isinstance(value, dict):
+            return fail("expected an object")
+        fields = field.fields
+        if field.kinds is not None:
+            kind = value.get("kind")
+            if not isinstance(kind, str) or kind not in field.kinds:
+                diags.append(f"{path}.kind: must be one of "
+                             f"{', '.join(sorted(field.kinds))}; got {kind!r}")
+                return None
+            fields = {"kind": Field(str), **field.kinds[kind]}
+        return _check_object(value, fields, path + ".", diags)
+    if field.type is list:
+        if not isinstance(value, list) or not value:
+            return fail(f"expected a nonempty list; got {value!r}")
+        items = [_check_value(v, field.items, f"{path}[{i}]", diags)
+                 for i, v in enumerate(value)]
+        return None if None in items else items
+
+    if field.type is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    wanted = (int, float) if field.type is float else field.type
+    if isinstance(value, bool) != (field.type is bool) \
+            or not isinstance(value, wanted):
+        return fail(f"expected {_TYPE_NAMES[field.type]}; got {value!r}")
+    if field.type is float:
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, too large an int
+            return fail(f"must be finite; got {value!r}")
+        value = float(value)
+    if field.choices and value not in field.choices:
+        return fail(f"must be one of {', '.join(map(str, field.choices))}; "
+                    f"got {value!r}")
+    if field.least is not None and value < field.least:
+        return fail(f"must be at least {field.least}; got {value!r}")
+    if field.most is not None and value > field.most:
+        return fail(f"must be at most {field.most}; got {value!r}")
+    if field.above is not None and not value > field.above:
+        return fail(f"must exceed {field.above}; got {value!r}")
+    return value
+
+
+def _check_relations(top: dict, diags: list) -> None:
+    """The rules that span keys, run once every key is valid on its own.
+    Where the library owns a rule, it is asked rather than restated."""
+    phys, p = top["physics"], top["parameters"]
+    lam = phys.get("lambda")
+    if phys["default_units"] and lam is not None \
+            and abs(lam - 4.0 / phys["hbar"] ** 2) > 1e-9:
+        diags.append(f"physics.lambda: {lam!r} inconsistent with hbar="
+                     f"{phys['hbar']!r}; default units require lambda = "
+                     "4 / hbar^2 (set default_units false to override)")
+    if "x_min" in p and not p["x_max"] > p["x_min"]:
+        diags.append(f"parameters.x_max: must exceed parameters.x_min "
+                     f"({p['x_min']!r}); got {p['x_max']!r}")
+    if "n_states" in p and p["n_states"] > p["n_points"] - 2:
+        diags.append(f"parameters.n_states: must be at most parameters."
+                     f"n_points - 2 ({p['n_points'] - 2}); got {p['n_states']}")
+    if "dt" in p and not dynamic.whole_steps(p["t_final"], p["dt"]):
+        diags.append(f"parameters.t_final: must be a whole number of "
+                     f"parameters.dt ({p['dt']!r}) steps; got {p['t_final']!r}")
+    if "model" in p:
+        try:
+            build_model(p["model"])
+        except InvalidModelError as exc:
+            diags.append(f"parameters.model: {exc}")
+    if "n_outcomes" in p:
+        given = [key for key in ("probs", "counts") if key in p]
+        if len(given) != 1:
+            diags.append("parameters.probs: exactly one of parameters.probs "
+                         "and parameters.counts is required")
+        elif len(p[given[0]]) != p["n_outcomes"]:
+            diags.append(f"parameters.{given[0]}: must have parameters."
+                         f"n_outcomes ({p['n_outcomes']}) entries; "
+                         f"got {len(p[given[0]])}")
+        elif "counts" in p and sum(p["counts"]) != p["n_total"]:
+            diags.append(f"parameters.counts: must sum to parameters.n_total "
+                         f"({p['n_total']}); got {sum(p['counts'])}")
 
 
 def validate_config(raw) -> RunConfig:
-    """Typed RunConfig from a parsed JSON object; raises ConfigError with
-    one diagnostic per offending key path."""
-    diags = []
+    """Typed RunConfig from a parsed JSON object, every default filled in;
+    raises ConfigError with one diagnostic per offending key path."""
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a JSON object"])
-    for key in raw:
-        if key not in _TOP_KEYS:
-            diags.append(f"unknown key {key!r}")
     experiment = raw.get("experiment")
-    if experiment not in EXPERIMENTS:
-        diags.append(f"experiment: must be one of {', '.join(EXPERIMENTS)}; "
-                     f"got {experiment!r}")
-        raise ConfigError(diags)
-
-    phys_raw = raw.get("physics", {})
-    physics = Physics()
-    if not isinstance(phys_raw, dict):
-        diags.append("physics: must be an object")
-    else:
-        for key in phys_raw:
-            if key not in _PHYSICS_KEYS:
-                diags.append(f"physics.{key}: unknown key")
-        hbar = float(phys_raw.get("hbar", 1.0))
-        default_units = bool(phys_raw.get("default_units", True))
-        lam = phys_raw.get("lambda")
-        if lam is None:
-            lam = 4.0 / hbar ** 2
-        elif default_units and abs(lam - 4.0 / hbar ** 2) > 1e-9:
-            diags.append(
-                f"physics.lambda: {lam!r} inconsistent with hbar={hbar!r}; "
-                "default units require lambda = 4 / hbar^2 "
-                "(set default_units false to override)")
-        physics = Physics(hbar=hbar, mass=float(phys_raw.get("mass", 1.0)),
-                          lam=float(lam),
-                          charge=float(phys_raw.get("charge", 1.0)),
-                          light_speed=float(phys_raw.get("light_speed", 1.0)),
-                          default_units=default_units)
-
-    seed = raw.get("seed")
-    if experiment in STOCHASTIC:
-        if seed is None:
-            diags.append("seed: required for stochastic experiments "
-                         "(no wall-clock default)")
-        elif not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-            diags.append("seed: must be a 64-bit nonnegative integer")
-    elif seed is not None and (not isinstance(seed, int)
-                               or not 0 <= seed < 2 ** 64):
-        diags.append("seed: must be a 64-bit nonnegative integer")
-
-    schema = _SCHEMAS[experiment]
-    params_raw = raw.get("parameters", {})
-    params = {}
-    if not isinstance(params_raw, dict):
-        diags.append("parameters: must be an object")
-        params_raw = {}
-    for key in params_raw:
-        if key not in schema:
-            diags.append(f"parameters.{key}: unknown key")
-    for key, (required, kind, default) in schema.items():
-        if key in params_raw:
-            value = params_raw[key]
-            if kind is int and isinstance(value, bool):
-                diags.append(f"parameters.{key}: expected integer")
-            elif kind is int and isinstance(value, float) and value.is_integer():
-                value = int(value)
-            if not isinstance(value, kind):
-                diags.append(f"parameters.{key}: expected "
-                             f"{getattr(kind, '__name__', 'number')}")
-            else:
-                params[key] = value
-        elif required:
-            diags.append(f"parameters.{key}: required for {experiment}")
-        elif default is not None:
-            params[key] = default
-    if experiment == "count-maximizer":
-        if ("probs" in params) == ("counts" in params):
-            diags.append("parameters: exactly one of probs/counts is required")
-    for key, kinds in _KIND_SETS.items():
-        if key in params and isinstance(params[key], dict):
-            kind = params[key].get("kind")
-            if kind not in kinds:
-                diags.append(f"parameters.{key}.kind: must be one of "
-                             f"{', '.join(sorted(kinds))}; got {kind!r}")
-    for key, least in _LOWER_BOUNDS.items():
-        # "not >=" also rejects NaN
-        if key in params and not params[key] >= least:
-            diags.append(f"parameters.{key}: must be at least {least}; "
-                         f"got {params[key]!r}")
-    if ("x_min" in params and "x_max" in params
-            and not params["x_max"] > params["x_min"]):
-        diags.append(f"parameters.x_max: must exceed parameters.x_min "
-                     f"({params['x_min']!r}); got {params['x_max']!r}")
+    schema = _SCHEMAS.get(experiment) if isinstance(experiment, str) else None
+    if schema is None:
+        raise ConfigError([f"experiment: must be one of "
+                           f"{', '.join(EXPERIMENTS)}; got {experiment!r}"])
+    diags = []
+    # stochastic experiments have no wall-clock default seed
+    seed = Field(int, _REQUIRED if schema.stochastic else None, least=0,
+                 most=2 ** 64 - 1)
+    fields = {**_TOP, "seed": seed,
+              "parameters": Field(dict, {}, fields=schema.parameters)}
+    top = _check_object(raw, fields, "", diags)
+    if not diags:
+        _check_relations(top, diags)
     if diags:
         raise ConfigError(diags)
-    return RunConfig(experiment=experiment, parameters=params,
-                     physics=physics, seed=seed,
-                     output_dir=str(raw.get("output_dir", ".")))
+    phys = dict(top["physics"])
+    lam = phys.pop("lambda", None)
+    physics = Physics(lam=4.0 / phys["hbar"] ** 2 if lam is None else lam,
+                      **phys)
+    return RunConfig(experiment=experiment, parameters=top["parameters"],
+                     physics=physics, seed=top.get("seed"),
+                     output_dir=top["output_dir"])
 
 
 def _canonical_digest(raw: dict) -> str:
@@ -292,6 +323,21 @@ def _format_value(value) -> str:
     return format(float(value), ".17g")
 
 
+def _write_atomic(path: str, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` via a temp file and an atomic rename."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def emit_csv(columns: Dict[str, "np.ndarray"], path: str) -> str:
     """Write named columns as CSV: 17-significant-digit floats (round-trip
     exact), LF endings, UTF-8, atomic temp-file-plus-rename."""
@@ -304,18 +350,7 @@ def emit_csv(columns: Dict[str, "np.ndarray"], path: str) -> str:
     lines = [",".join(names)]
     for i in range(n_rows):
         lines.append(",".join(_format_value(a[i]) for a in arrays))
-    payload = ("\n".join(lines) + "\n").encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
 
@@ -338,58 +373,41 @@ def _worker_cap() -> int:
 
 
 # ---------------------------------------------------------------------------
-# field registries
+# field registries (validated specs only)
 # ---------------------------------------------------------------------------
 
 def build_potential(spec: dict, grid: Grid1D) -> ScalarField:
-    kind = spec.get("kind")
     x = grid.nodes()
-    if kind == "harmonic":
-        omega = float(spec.get("omega", 1.0))
-        center = float(spec.get("center", 0.0))
-        values = 0.5 * omega ** 2 * (x - center) ** 2
-    elif kind == "zero" or kind == "box":
+    if spec["kind"] == "harmonic":
+        values = 0.5 * spec["omega"] ** 2 * (x - spec["center"]) ** 2
+    elif spec["kind"] == "linear":
+        values = spec["slope"] * x
+    else:  # "zero" and "box": free inside the Dirichlet walls
         values = np.zeros_like(x)
-    elif kind == "linear":
-        values = float(spec.get("slope", 1.0)) * x
-    else:
-        raise ConfigError([f"parameters.potential.kind: unknown kind {kind!r}"])
     return ScalarField(grid, values, kind="potential")
 
 
 def build_gauge_component(spec: dict) -> Callable:
-    kind = spec.get("kind")
-    if kind == "zero":
-        return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
-    if kind == "uniform_sin":  # A(t) = amplitude * sin(omega t)
-        amp = float(spec.get("amplitude", 1.0))
-        omega = float(spec.get("omega", 1.0))
+    if spec["kind"] == "uniform_sin":  # A(t) = amplitude * sin(omega t)
+        amp, omega = spec["amplitude"], spec["omega"]
         return lambda x, t: amp * math.sin(omega * t) \
             * np.ones_like(np.asarray(x, dtype=float))
-    if kind == "harmonic":
-        omega = float(spec.get("omega", 1.0))
+    if spec["kind"] == "harmonic":
+        omega = spec["omega"]
         return lambda x, t: 0.5 * omega ** 2 * np.asarray(x, dtype=float) ** 2
-    raise ConfigError([f"field kind {kind!r} unknown"])
+    return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
 
 
 def build_chi(spec: dict) -> Callable:
-    kind = spec.get("kind")
-    if kind == "x_sin_t":
-        amp = float(spec.get("amplitude", 1.0))
-        return lambda x, t: amp * np.asarray(x, dtype=float) * math.sin(t)
-    if kind == "constant":
-        value = float(spec.get("value", 1.0))
+    if spec["kind"] == "constant":
+        value = spec["value"]
         return lambda x, t: value * np.ones_like(np.asarray(x, dtype=float))
-    raise ConfigError([f"parameters.chi.kind: unknown kind {kind!r}"])
+    amp = spec["amplitude"]  # "x_sin_t"
+    return lambda x, t: amp * np.asarray(x, dtype=float) * math.sin(t)
 
 
 def build_initial(spec: dict, grid: Grid1D) -> WaveField:
-    kind = spec.get("kind")
-    if kind != "gaussian":
-        raise ConfigError([f"parameters.initial.kind: unknown kind {kind!r}"])
-    sigma = float(spec.get("sigma", 1.0))
-    x0 = float(spec.get("x0", 0.0))
-    k0 = float(spec.get("k0", 0.0))
+    sigma, x0, k0 = spec["sigma"], spec["x0"], spec["k0"]  # "gaussian"
     x = grid.nodes()
     packet = np.exp(-(x - x0) ** 2 / (4.0 * sigma ** 2)) \
         * np.exp(1j * k0 * x)
@@ -397,57 +415,68 @@ def build_initial(spec: dict, grid: Grid1D) -> WaveField:
 
 
 def build_model(spec: dict) -> eprb.CorrelationModel:
-    kind = spec.get("kind", "singlet")
-    if kind == "singlet":
+    if spec["kind"] == "singlet":
         return eprb.CorrelationModel.singlet()
-    if kind == "triplet_z0":
+    if spec["kind"] == "triplet_z0":
         return eprb.CorrelationModel.triplet_z0()
-    if kind == "general":
-        return eprb.CorrelationModel.general(int(spec.get("K", 1)),
-                                             float(spec.get("phi", 0.0)))
-    raise ConfigError([f"parameters.model.kind: unknown kind {kind!r}"])
+    return eprb.CorrelationModel.general(spec["K"], spec["phi"])
 
 
 # ---------------------------------------------------------------------------
 # experiment handlers (each returns {filename: columns})
 # ---------------------------------------------------------------------------
 
-def _scan_thetas(params) -> np.ndarray:
-    return np.linspace(params["theta_start"], params["theta_stop"],
-                       params["steps"] + 1)
+def _run_scan(config: RunConfig, table_at, model_stat, sim_stat, variance,
+              names):
+    """Sample ``table_at(theta)`` at each scan angle on the worker pool and
+    compare ``model_stat(theta, table)`` with ``sim_stat(counts, trials)``;
+    ``variance`` maps the model column to the per-trial variance."""
+    params = config.parameters
+    thetas = np.linspace(params["theta_start"], params["theta_stop"],
+                         params["steps"] + 1)
+    trials = params["trials"]
+
+    def one_point(index):
+        table = table_at(thetas[index])
+        drawn = rng.sample_outcome_counts(table.probs, trials, config.seed,
+                                          first_trial=index * trials)
+        return (model_stat(thetas[index], table),
+                sim_stat([int(c) for c in drawn], trials))
+
+    with concurrent.futures.ThreadPoolExecutor(_worker_cap()) as pool:
+        results = list(pool.map(one_point, range(thetas.size)))
+
+    model = np.array([m for m, _ in results])
+    sim = np.array([s for _, s in results])
+    sigma = np.sqrt(np.maximum(variance(model), 0.0) / trials)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n_sigma = np.where(sigma > 0, np.abs(sim - model) / sigma,
+                           np.where(sim == model, 0.0, np.inf))
+    return {"scan.csv": {"theta": thetas, names[0]: model, names[1]: sim,
+                         "n_sigma": n_sigma}}
 
 
 def _run_eprb_scan(config: RunConfig):
-    params = config.parameters
-    model = build_model(params["model"])
-    thetas = _scan_thetas(params)
-    trials = params["trials"]
+    model = build_model(config.parameters["model"])
+    # counts in PAIR_OUTCOMES order: (++, +-, -+, --)
+    return _run_scan(config, lambda theta: eprb.pair_table(theta, model),
+                     lambda theta, table: model.correlation_vs_angle(theta),
+                     lambda c, n: (c[0] + c[3] - c[1] - c[2]) / n,
+                     lambda corr: 1.0 - corr ** 2, ("E12_model", "E12_sim"))
 
-    def one_point(index_theta):
-        index, theta = index_theta
-        counts = eprb.simulate_pairs(theta, model, trials, config.seed,
-                                     first_trial=index * trials)
-        return index, counts
 
-    results = [None] * thetas.size
-    with concurrent.futures.ThreadPoolExecutor(_worker_cap()) as pool:
-        for index, counts in pool.map(one_point, enumerate(thetas)):
-            results[index] = counts
-
-    model_corr = np.array([model.correlation_vs_angle(t) for t in thetas])
-    sim_corr = np.array([c.correlation() for c in results])
-    sigma = np.sqrt(np.maximum(1.0 - model_corr ** 2, 0.0) / trials)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_sigma = np.where(sigma > 0, np.abs(sim_corr - model_corr) / sigma,
-                           np.where(sim_corr == model_corr, 0.0, np.inf))
-    return {"scan.csv": {"theta": thetas, "E12_model": model_corr,
-                         "E12_sim": sim_corr, "n_sigma": n_sigma}}
+def _run_sg_scan(config: RunConfig):
+    branch = config.parameters["branch_sign"]
+    return _run_scan(
+        config, lambda theta: sterngerlach.sg_table_from_angle(theta, branch),
+        lambda theta, table: table.probs[0], lambda c, n: c[0] / n,
+        lambda p: p * (1 - p), ("p_plus_model", "p_plus_sim"))
 
 
 def _run_eprb_simulate(config: RunConfig):
     params = config.parameters
     model = build_model(params["model"])
-    theta = float(params["theta"])
+    theta = params["theta"]
     counts = eprb.simulate_pairs(theta, model, params["trials"], config.seed)
     table = eprb.pair_table(theta, model)
     return {
@@ -467,43 +496,13 @@ def _run_eprb_simulate(config: RunConfig):
     }
 
 
-def _run_sg_scan(config: RunConfig):
-    params = config.parameters
-    branch = params["branch_sign"]
-    thetas = _scan_thetas(params)
-    trials = params["trials"]
-
-    def one_point(index_theta):
-        index, theta = index_theta
-        table = sterngerlach.sg_table_from_angle(theta, branch)
-        drawn = rng.sample_outcome_counts(table.probs, trials, config.seed,
-                                          first_trial=index * trials)
-        counts = inference.CountRecord(outcomes=sterngerlach.SG_OUTCOMES,
-                                       counts=tuple(int(c) for c in drawn))
-        return index, table, counts
-
-    results = [None] * thetas.size
-    with concurrent.futures.ThreadPoolExecutor(_worker_cap()) as pool:
-        for index, table, counts in pool.map(one_point, enumerate(thetas)):
-            results[index] = (table, counts)
-
-    p_model = np.array([t.probs[0] for t, _ in results])
-    p_sim = np.array([c.counts[0] / trials for _, c in results])
-    sigma = np.sqrt(np.maximum(p_model * (1 - p_model), 0.0) / trials)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n_sigma = np.where(sigma > 0, np.abs(p_sim - p_model) / sigma,
-                           np.where(p_sim == p_model, 0.0, np.inf))
-    return {"scan.csv": {"theta": thetas, "p_plus_model": p_model,
-                         "p_plus_sim": p_sim, "n_sigma": n_sigma}}
-
-
 def _run_evidence(config: RunConfig):
     params = config.parameters
     model = build_model(params["model"])
-    theta = float(params["theta"])
+    theta = params["theta"]
     trials = params["trials"]
     family = eprb.pair_table(theta, model)
-    eps_list = [float(e) for e in params["epsilons"]]
+    eps_list = params["epsilons"]
     rows = [inference.evidence_quadratic(family, [theta], [eps], trials)
             for eps in eps_list]
     return {"evidence.csv": {
@@ -520,10 +519,7 @@ def _run_evidence(config: RunConfig):
 
 def _run_count_maximizer(config: RunConfig):
     params = config.parameters
-    if "probs" in params:
-        data = np.array([float(p) for p in params["probs"]])
-    else:
-        data = np.array([int(c) for c in params["counts"]])
+    data = np.array(params["probs" if "probs" in params else "counts"])
     report = inference.frequency_maximizer_suite(
         data, params["n_total"], params["n_outcomes"])
     rows = {"index": [], "slot": [], "count": [], "maximizing_assignment": [],
@@ -546,7 +542,7 @@ def _run_count_maximizer(config: RunConfig):
 
 
 def _grid_of(params) -> Grid1D:
-    return Grid1D.from_interval(float(params["x_min"]), float(params["x_max"]),
+    return Grid1D.from_interval(params["x_min"], params["x_max"],
                                 params["n_points"])
 
 
@@ -608,29 +604,24 @@ def _run_tise_minimize(config: RunConfig):
     }
 
 
-def _tdse_setup(config: RunConfig):
-    params = config.parameters
-    grid = _grid_of(params)
-    psi0 = build_initial(params["initial"], grid)
-    phys = config.physics
-    fields = dynamic.GaugeField(
-        A=build_gauge_component(params.get("vector_potential",
-                                           {"kind": "zero"})),
-        V=build_gauge_component(params.get("scalar_potential",
-                                           {"kind": "zero"})),
-        charge=phys.charge, light_speed=phys.light_speed)
-    return grid, psi0, fields
+def _propagator(config: RunConfig, grid: Grid1D, sample_stride: int):
+    params, phys = config.parameters, config.physics
+    return dynamic.PropagatorConfig(grid=grid, dt=params["dt"],
+                                    t_final=params["t_final"],
+                                    mass=phys.mass, hbar=phys.hbar,
+                                    lam=phys.lam, sample_stride=sample_stride)
 
 
 def _run_tdse(config: RunConfig):
     params = config.parameters
-    grid, psi0, fields = _tdse_setup(config)
-    phys = config.physics
-    prop = dynamic.PropagatorConfig(grid=grid, dt=float(params["dt"]),
-                                    t_final=float(params["t_final"]),
-                                    mass=phys.mass, hbar=phys.hbar,
-                                    lam=phys.lam,
-                                    sample_stride=params["sample_stride"])
+    grid = _grid_of(params)
+    psi0 = build_initial(params["initial"], grid)
+    fields = dynamic.GaugeField(
+        A=build_gauge_component(params["vector_potential"]),
+        V=build_gauge_component(params["scalar_potential"]),
+        charge=config.physics.charge,
+        light_speed=config.physics.light_speed)
+    prop = _propagator(config, grid, params["sample_stride"])
     final, trace = dynamic.propagate(psi0, fields, prop)
     return {
         "trace.csv": {
@@ -654,11 +645,8 @@ def _run_gauge_check(config: RunConfig):
     chi = build_chi(params["chi"])
     fields = dynamic.GaugeField(charge=phys.charge,
                                 light_speed=phys.light_speed)
-    prop = dynamic.PropagatorConfig(grid=grid, dt=float(params["dt"]),
-                                    t_final=float(params["t_final"]),
-                                    mass=phys.mass, hbar=phys.hbar,
-                                    lam=phys.lam, sample_stride=10 ** 9)
-    t_final = float(params["t_final"])
+    prop = _propagator(config, grid, 10 ** 9)
+    t_final = params["t_final"]
 
     evolved, _ = dynamic.propagate(psi0, fields, prop)
     route_a, _ = dynamic.gauge_transform(evolved, fields, chi, t_final,
@@ -679,17 +667,37 @@ def _run_gauge_check(config: RunConfig):
     }}
 
 
-_HANDLERS = {
-    "eprb-scan": _run_eprb_scan,
-    "eprb-simulate": _run_eprb_simulate,
-    "sg-scan": _run_sg_scan,
-    "evidence": _run_evidence,
-    "count-maximizer": _run_count_maximizer,
-    "tise-solve": _run_tise_solve,
-    "tise-minimize": _run_tise_minimize,
-    "tdse-run": _run_tdse,
-    "gauge-check": _run_gauge_check,
+# The one experiment-keyed table: handler, seed requirement, parameters.
+_SCHEMAS: Dict[str, Experiment] = {
+    "eprb-scan": Experiment(_run_eprb_scan, True, {"model": _MODEL, **_SCAN}),
+    "eprb-simulate": Experiment(_run_eprb_simulate, True, {
+        "model": _MODEL, "theta": Field(float), "trials": _TRIALS}),
+    "sg-scan": Experiment(_run_sg_scan, True, {
+        "branch_sign": Field(int, 1, choices=(-1, 1)), **_SCAN}),
+    "evidence": Experiment(_run_evidence, False, {
+        "model": _MODEL, "theta": Field(float), "trials": _TRIALS,
+        "epsilons": Field(list, items=Field(float))}),
+    "count-maximizer": Experiment(_run_count_maximizer, False, {
+        "n_outcomes": Field(int, least=2), "n_total": Field(int, least=1),
+        "probs": Field(list, None, items=Field(float, above=0)),
+        "counts": Field(list, None, items=Field(int, least=0))}),
+    "tise-solve": Experiment(_run_tise_solve, False, {
+        "potential": _POTENTIAL, **_grid_fields(-10.0, 10.0, 1001),
+        "n_states": Field(int, 4, least=1)}),
+    "tise-minimize": Experiment(_run_tise_minimize, False, {
+        "potential": _POTENTIAL, **_grid_fields(-3.25, 3.25, 131),
+        "max_iter": Field(int, 200000, least=1),
+        "tol": Field(float, 1e-15, least=0)}),
+    "tdse-run": Experiment(_run_tdse, False, {
+        "initial": _INITIAL, "vector_potential": _GAUGE,
+        "scalar_potential": _GAUGE, **_grid_fields(-20.0, 20.0, 2001),
+        "dt": _DT, "t_final": Field(float, least=0),
+        "sample_stride": Field(int, 10, least=1)}),
+    "gauge-check": Experiment(_run_gauge_check, False, {
+        "initial": _INITIAL, "chi": _CHI, **_grid_fields(-20.0, 20.0, 4001),
+        "dt": _DT, "t_final": Field(float, 0.25, least=0)}),
 }
+EXPERIMENTS = tuple(_SCHEMAS)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +709,12 @@ def _now() -> str:
 
 
 def run(raw_config: dict, output_dir: Optional[str] = None) -> RunManifest:
-    """Validate, dispatch, write CSV outputs and the manifest atomically."""
+    """Validate, dispatch, write CSV outputs and the manifest atomically.
+
+    A config fault raises ConfigError before anything is written.  Any
+    other failure is recorded in the manifest: status "error" and the
+    exception's class name.
+    """
     config = validate_config(raw_config)
     out_dir = output_dir or config.output_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -710,30 +723,21 @@ def run(raw_config: dict, output_dir: Optional[str] = None) -> RunManifest:
     status, error = "ok", None
     outputs = []
     try:
-        tables = _HANDLERS[config.experiment](config)
+        tables = _SCHEMAS[config.experiment].handler(config)
         for name, columns in tables.items():
             path = os.path.join(out_dir, name)
             emit_csv(columns, path)
             outputs.append({"name": name, "sha256": _sha256_file(path),
                             "bytes": os.path.getsize(path)})
-    except ConfigError:
-        raise  # configuration faults exit 2, never masquerade as numerics
-    except RobustqError as exc:
+    except Exception as exc:  # every failure that is not a config fault
         status, error = "error", type(exc).__name__
+        if not isinstance(exc, RobustqError):
+            traceback.print_exc()  # unexpected: keep where it came from
     manifest = RunManifest(config_digest=digest, tool_version=__version__,
                            started=started, finished=_now(), status=status,
                            error=error, output_files=outputs)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    payload = json.dumps(manifest.to_json(), indent=2).encode()
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp, manifest_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(os.path.join(out_dir, "manifest.json"),
+                  json.dumps(manifest.to_json(), indent=2).encode())
     return manifest
 
 
@@ -753,28 +757,22 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "validate":
-        try:
-            validate_config(raw)
-        except ConfigError as exc:
-            for diag in exc.diagnostics:
-                print(f"config error: {diag}", file=sys.stderr)
-            return 2
-        print("config ok")
-        return 0
-
     try:
+        if args.command == "validate":
+            validate_config(raw)
+            print("config ok")
+            return 0
         manifest = run(raw, output_dir=args.output_dir)
     except ConfigError as exc:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
         return 2
     if manifest.status != "ok":
-        print(f"numerical failure: {manifest.error}", file=sys.stderr)
+        print(f"run failed: {manifest.error}", file=sys.stderr)
         return 3
     return 0
 

@@ -71,6 +71,14 @@ class GaugeField:
                                np.shape(x)).copy()
 
 
+def whole_steps(t_final: float, dt: float) -> bool:
+    """Whether ``t_final`` is a whole number of steps of size ``dt``, to a
+    relative 1e-9 of the step count."""
+    steps = t_final / dt
+    return (math.isfinite(steps)
+            and abs(steps - round(steps)) <= 1e-9 * max(1.0, abs(steps)))
+
+
 @dataclass(frozen=True, eq=False)
 class PropagatorConfig:
     grid: Grid1D
@@ -92,8 +100,7 @@ class PropagatorConfig:
             object.__setattr__(self, "lam", 4.0 / self.hbar ** 2)
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        if not whole_steps(self.t_final, self.dt):
             raise ValueError("t_final must be a whole number of steps")
 
     @property

@@ -1,14 +1,25 @@
 """CLI verification: config validation, CSV contract, dispatch, manifest
 reproducibility, and exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings, strategies as st
 
 from robustq.cli import (EXPERIMENTS, emit_csv, main, run, validate_config)
 from robustq.errors import ConfigError
+
+# hypothesis caches constants it finds in the source under its home
+# directory, by default ./.hypothesis; keep that out of the working tree
+configuration.set_hypothesis_home_dir(
+    os.path.join(tempfile.gettempdir(), "robustq-hypothesis"))
 
 
 def minimal_simulate_config(**overrides):
@@ -197,9 +208,31 @@ class TestMainExitCodes:
         assert manifest["status"] == "error"
         assert manifest["error"] == "ResourceError"
 
+    def test_run_unexpected_failure_is_3(self, tmp_path):
+        # 1e16 steps: the propagator's list of 1e15 sample steps needs 8 PB,
+        # so it raises MemoryError at once, whatever the overcommit policy
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": "tdse-run",
+                                    "parameters": {"t_final": 1e13}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(out)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "MemoryError"
+        assert manifest["output_files"] == []
+
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["validate", "--config",
                      str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize("payload", [b"\xff\xfe{}",
+                                         b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_undecodable_config_is_2(self, payload, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(payload)
+        assert main(["validate", "--config", str(path)]) == 2
 
 
 class TestAllExperimentsSmoke:
@@ -234,6 +267,72 @@ class TestAllExperimentsSmoke:
             assert (tmp_path / entry["name"]).exists()
 
 
+# a key path as the diagnostics print it, e.g. parameters.epsilons[0]
+KEY_PATH = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*|\[\d+\])*"
+
+
+def key_path(parts):
+    return "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                   for p in parts).lstrip(".")
+
+
+def mutation_sites(node, parts=()):
+    """Every leaf of a config, plus one unknown key per object."""
+    if isinstance(node, dict):
+        yield parts + ("unknown_key",)
+        for key, value in node.items():
+            yield from mutation_sites(value, parts + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from mutation_sites(value, parts + (index,))
+    else:
+        yield parts
+
+
+class TestExitCodeContract:
+    """One mutated leaf (or one added unknown key) of a working config exits
+    0, 2 or 3; exit 2 names the mutated key path and creates no output."""
+
+    SITES = [(experiment, parts)
+             for experiment, config in sorted(
+                 TestAllExperimentsSmoke.CONFIGS.items())
+             for parts in mutation_sites({"experiment": experiment,
+                                          **config})]
+    POOL = ["x", None, True, -1, 0, 1.5, math.nan, [], {}]
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(site=st.sampled_from(SITES), value=st.sampled_from(POOL))
+    def test_one_mutation_exits_0_2_or_3(self, site, value):
+        experiment, parts = site
+        raw = json.loads(json.dumps({
+            "experiment": experiment,
+            **TestAllExperimentsSmoke.CONFIGS[experiment]}))
+        node = raw
+        for part in parts[:-1]:
+            node = node[part]
+        node[parts[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+            with open(path, "w") as handle:
+                json.dump(raw, handle)
+            codes, errs = [], []
+            for command in (["validate"], ["run", "--output-dir", out]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(main([command[0], "--config", path]
+                                      + command[1:]))
+                errs.append(err.getvalue())
+            assert codes[1] in (0, 2, 3)
+            assert (codes[0] == 2) == (codes[1] == 2)
+            if codes[1] == 2:
+                assert not os.path.exists(out)
+                for err in errs:
+                    assert key_path(parts) in err
+                    for line in err.splitlines():
+                        assert re.match(f"config error: {KEY_PATH}: ", line)
+
+
 class TestNestedKindValidation:
     def test_unknown_model_kind_rejected_at_validation(self):
         raw = minimal_simulate_config()
@@ -265,7 +364,9 @@ class TestThreadCap:
 
 
 class TestRangeChecks:
-    """Out-of-range grid and minimiser parameters exit 2 and name the key."""
+    """Malformed values exit 2 and name the key.  A row is (experiment,
+    the contents of the section its key path starts with, key path); every
+    config carries a seed, so only the row's fault is wrong."""
 
     CASES = [
         ("tise-solve", {"n_points": 2}, "parameters.n_points"),
@@ -277,14 +378,65 @@ class TestRangeChecks:
          "parameters.x_max"),
         ("tise-minimize", {"max_iter": 0}, "parameters.max_iter"),
         ("tise-minimize", {"tol": -1e-9}, "parameters.tol"),
+        ("tise-solve", {"hbar": "abc"}, "physics.hbar"),
+        ("tise-solve", {"hbar": 0}, "physics.hbar"),
+        ("tise-solve", {"hbar": -1}, "physics.hbar"),
+        ("tise-solve", {"mass": "x"}, "physics.mass"),
+        ("tise-solve", {"lambda": "x"}, "physics.lambda"),
+        ("eprb-simulate", {"theta": 1.0, "trials": 0}, "parameters.trials"),
+        ("sg-scan", {"trials": -5}, "parameters.trials"),
+        ("eprb-scan", {"steps": -1, "trials": 100}, "parameters.steps"),
+        ("sg-scan", {"branch_sign": 0, "trials": 100},
+         "parameters.branch_sign"),
+        ("tise-solve", {"potential": {"kind": "harmonic", "omega": "x"}},
+         "parameters.potential.omega"),
+        ("tise-solve", {"potential": {"kind": "harmonic", "omegaa": 3}},
+         "parameters.potential.omegaa"),
+        ("tdse-run", {"t_final": 0.01,
+                      "initial": {"kind": "gaussian", "sigma": -1}},
+         "parameters.initial.sigma"),
+        ("tdse-run", {"t_final": 0.01,
+                      "initial": {"kind": "gaussian", "sigma": 0}},
+         "parameters.initial.sigma"),
+        ("tdse-run", {"t_final": 0.0105}, "parameters.t_final"),
+        ("tdse-run", {"t_final": -1}, "parameters.t_final"),
+        ("tdse-run", {"t_final": 0.01, "dt": 0}, "parameters.dt"),
+        ("tdse-run", {"t_final": 0.01, "sample_stride": 0},
+         "parameters.sample_stride"),
+        ("eprb-simulate", {"theta": 1.0, "trials": 100,
+                           "model": {"kind": "general", "K": 0}},
+         "parameters.model"),
+        ("eprb-simulate", {"theta": 1.0, "trials": 100,
+                           "model": {"kind": "general", "phi": 1.0}},
+         "parameters.model"),
+        ("eprb-simulate", {"theta": 1.0, "trials": 100,
+                           "model": {"kind": "singlet", "K": 3}},
+         "parameters.model.K"),
+        ("gauge-check", {"chi": {"kind": "constant", "valu": 2}},
+         "parameters.chi.valu"),
+        ("tise-solve", {"n_states": 0}, "parameters.n_states"),
+        ("tise-solve", {"n_states": 50, "n_points": 11},
+         "parameters.n_states"),
+        ("evidence", {"theta": 1.0, "trials": 100, "epsilons": ["a"]},
+         "parameters.epsilons"),
+        ("evidence", {"theta": 1.0, "trials": 100, "epsilons": []},
+         "parameters.epsilons"),
+        ("count-maximizer", {"n_outcomes": 2, "n_total": 3,
+                             "probs": ["a", 1]}, "parameters.probs"),
+        ("count-maximizer", {"n_outcomes": 3, "n_total": 3,
+                             "probs": [0.5, 0.5]}, "parameters.probs"),
+        ("count-maximizer", {"n_outcomes": 0, "n_total": 3,
+                             "probs": [0.5, 0.5]}, "parameters.n_outcomes"),
+        ("eprb-simulate", {"theta": math.nan, "trials": 100},
+         "parameters.theta"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)
     def test_exit_2_names_key(self, experiment, params, key, tmp_path,
                               capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": experiment,
-                                    "parameters": params}))
+        path.write_text(json.dumps({"experiment": experiment, "seed": 1,
+                                    key.split(".")[0]: params}))
         for command in (["validate"], ["run", "--output-dir",
                                        str(tmp_path / "out")]):
             assert main([command[0], "--config", str(path)]

@@ -275,6 +275,11 @@ def _check_relations(top: dict, diags: list) -> None:
         elif "counts" in p and sum(p["counts"]) != p["n_total"]:
             diags.append(f"parameters.counts: must sum to parameters.n_total "
                          f"({p['n_total']}); got {sum(p['counts'])}")
+        elif "probs" in p:
+            table = inference.OutcomeTable(
+                outcomes=range(p["n_outcomes"]), probs=p["probs"])
+            diags.extend(f"parameters.probs: {violation}"
+                         for violation in inference.validate_table(table))
 
 
 def validate_config(raw) -> RunConfig:
@@ -430,7 +435,8 @@ def _run_scan(config: RunConfig, table_at, model_stat, sim_stat, variance,
               names):
     """Sample ``table_at(theta)`` at each scan angle on the worker pool and
     compare ``model_stat(theta, table)`` with ``sim_stat(counts, trials)``;
-    ``variance`` maps the model column to the per-trial variance."""
+    ``variance`` maps the model column to the per-trial variance.  Each
+    worker takes one contiguous slice of the angles."""
     params = config.parameters
     thetas = np.linspace(params["theta_start"], params["theta_stop"],
                          params["steps"] + 1)
@@ -443,8 +449,12 @@ def _run_scan(config: RunConfig, table_at, model_stat, sim_stat, variance,
         return (model_stat(thetas[index], table),
                 sim_stat([int(c) for c in drawn], trials))
 
-    with concurrent.futures.ThreadPoolExecutor(_worker_cap()) as pool:
-        results = list(pool.map(one_point, range(thetas.size)))
+    n, workers = thetas.size, min(_worker_cap(), thetas.size)
+    slices = [range(n * w // workers, n * (w + 1) // workers)
+              for w in range(workers)]
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(lambda part: [one_point(i) for i in part], slices)
+        results = [point for part in parts for point in part]
 
     model = np.array([m for m, _ in results])
     sim = np.array([s for _, s in results])

@@ -11,15 +11,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import configuration, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from robustq.cli import (EXPERIMENTS, emit_csv, main, run, validate_config)
 from robustq.errors import ConfigError
-
-# hypothesis caches constants it finds in the source under its home
-# directory, by default ./.hypothesis; keep that out of the working tree
-configuration.set_hypothesis_home_dir(
-    os.path.join(tempfile.gettempdir(), "robustq-hypothesis"))
 
 
 def minimal_simulate_config(**overrides):
@@ -351,16 +346,23 @@ class TestNestedKindValidation:
 
 
 class TestThreadCap:
+    """Each worker takes a contiguous slice of the scan angles; 70,000
+    trials per point make points straddle keystream block boundaries, and
+    steps 0 and 2 give fewer points than workers."""
+
     def test_scan_output_independent_of_worker_count(self, tmp_path,
                                                      monkeypatch):
-        raw = {"experiment": "eprb-scan", "seed": 3,
-               "parameters": {"steps": 8, "trials": 20000}}
-        monkeypatch.setenv("ROBUSTQ_THREADS", "1")
-        run(raw, output_dir=str(tmp_path / "serial"))
-        monkeypatch.setenv("ROBUSTQ_THREADS", "4")
-        run(raw, output_dir=str(tmp_path / "parallel"))
-        assert (tmp_path / "serial" / "scan.csv").read_bytes() == \
-            (tmp_path / "parallel" / "scan.csv").read_bytes()
+        for experiment in ("eprb-scan", "sg-scan"):
+            for steps in (0, 2, 8):
+                raw = {"experiment": experiment, "seed": 3,
+                       "parameters": {"steps": steps, "trials": 70000}}
+                outputs = set()
+                for threads in ("1", "2", "3", "4"):
+                    monkeypatch.setenv("ROBUSTQ_THREADS", threads)
+                    out = tmp_path / f"{experiment}-{steps}-{threads}"
+                    run(raw, output_dir=str(out))
+                    outputs.add((out / "scan.csv").read_bytes())
+                assert len(outputs) == 1, (experiment, steps)
 
 
 class TestRangeChecks:
@@ -429,6 +431,8 @@ class TestRangeChecks:
                              "probs": [0.5, 0.5]}, "parameters.n_outcomes"),
         ("eprb-simulate", {"theta": math.nan, "trials": 100},
          "parameters.theta"),
+        ("count-maximizer", {"n_outcomes": 2, "n_total": 3,
+                             "probs": [1.5, 0.5]}, "parameters.probs"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)

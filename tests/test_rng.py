@@ -1,0 +1,125 @@
+"""Counter-based streams: keystream slices, trial indices and the outcome
+tally against the searchsorted reference path."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from robustq import rng
+
+B = rng.BLOCK_SIZE
+
+
+def reference_counts(probs, n_trials, seed, first_trial):
+    """The reference tally: uniforms, searchsorted(side="right"),
+    bincount."""
+    cum = np.cumsum(np.asarray(probs, dtype=float))
+    cum[-1] = 1.0
+    u = rng.uniforms(seed, first_trial, n_trials)
+    return np.bincount(np.searchsorted(cum, u, side="right"),
+                       minlength=len(probs))
+
+
+def full_block(seed, block):
+    return np.random.Philox(key=seed, counter=block << 64).random_raw(B)
+
+
+# dyadic tables, whose cut points c make c * 2**53 an integer, with zeros;
+# both strategies include one-outcome tables
+DYADIC = st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(
+    lambda w: sum(w) > 0).map(
+        lambda w: [x / 8 for x in w[:-1]] + [1 - sum(w[:-1]) / 8]).filter(
+            lambda p: p[-1] >= 0)
+GENERIC = st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+                   min_size=1, max_size=5).filter(lambda w: sum(w) > 0).map(
+                       lambda w: [x / math.fsum(w) for x in w])
+PROBS = st.one_of(DYADIC, GENERIC)
+
+
+class TestBlockWords:
+    @pytest.mark.parametrize("seed,block", [(0, 0), (7, 3), (2 ** 64 - 1, 1)])
+    def test_slice_equals_full_block_for_every_phase(self, seed, block):
+        full = full_block(seed, block)
+        starts = list(range(9)) + [B - 5, B - 4, B - 3, B - 2, B - 1]
+        for start in starts:
+            for count in (1, 2, 3, 4, 5, 17):
+                count = min(count, B - start)
+                assert np.array_equal(
+                    rng._block_words(seed, block, start, count),
+                    full[start:start + count])
+        assert np.array_equal(rng._block_words(seed, block), full)
+
+    @pytest.mark.parametrize("first_trial,count",
+                             [(0, 1), (B - 3, 7), (2 * B + 5, B + 9)])
+    def test_uniforms_are_scaled_words(self, first_trial, count):
+        words = np.concatenate([full_block(11, b) for b in range(4)])
+        expected = (words[first_trial:first_trial + count] >> 11) * 2.0 ** -53
+        assert np.array_equal(rng.uniforms(11, first_trial, count), expected)
+
+
+class TestTrialIndices:
+    def test_numpy_integer_indices_match_int(self):
+        assert np.array_equal(rng.uniforms(7, np.int64(70000), np.int64(5)),
+                              rng.uniforms(7, 70000, 5))
+        probs = [0.1, 0.2, 0.3, 0.4]
+        assert np.array_equal(
+            rng.sample_outcome_counts(probs, np.int64(1000), 7,
+                                      first_trial=np.int64(200000)),
+            rng.sample_outcome_counts(probs, 1000, 7, first_trial=200000))
+
+    def test_negative_ranges_rejected(self):
+        with pytest.raises(ValueError):
+            rng.uniforms(7, -1, 3)
+        with pytest.raises(ValueError):
+            rng.uniforms(7, 0, -1)
+        with pytest.raises(ValueError):
+            rng.sample_outcome_counts([0.5, 0.5], 10, 7, first_trial=-1)
+        with pytest.raises(ValueError):
+            rng.sample_outcome_counts([0.5, 0.5], 0, 7)
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(TypeError):
+            rng.uniforms(7, 1.0, 3)
+        with pytest.raises(TypeError):
+            rng.sample_outcome_counts([0.5, 0.5], 10.0, 7)
+
+
+class TestTally:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(probs=PROBS, seed=st.integers(0, 2 ** 64 - 1),
+           first_trial=st.sampled_from([0, 3, 16960, B - 1, B, 2 * B,
+                                        5 * B]),
+           n_trials=st.sampled_from([1, 3, B + 1, 3 * B]))
+    def test_counts_equal_float_reference(self, probs, seed, first_trial,
+                                          n_trials):
+        counts = rng.sample_outcome_counts(probs, n_trials, seed,
+                                           first_trial=first_trial)
+        assert counts.dtype == np.int64
+        assert np.array_equal(
+            counts, reference_counts(probs, n_trials, seed, first_trial))
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(probs=DYADIC)
+    def test_words_at_cut_points(self, probs):
+        """Words on and next to each cut point c: u == c must go to the
+        outcome above the cut, as searchsorted(side="right") sends it."""
+        words = {0, 2 ** 64 - 1}
+        for c in np.cumsum(probs):
+            edge = int(c * 2 ** 53) << 11
+            words.update(w for w in (edge - 1, edge, edge + 2047, edge + 2048)
+                         if 0 <= w < 2 ** 64)
+        stream = np.array(sorted(words), dtype=np.uint64)
+
+        def block_words(seed, block, start=0, count=B):
+            # a fresh array, as the real keystream gives: uniforms
+            # converts it in place
+            return stream[block * B + start:block * B + start + count].copy()
+
+        with mock.patch.object(rng, "_block_words", block_words):
+            counts = rng.sample_outcome_counts(probs, stream.size, 0)
+            expected = reference_counts(probs, stream.size, 0, 0)
+        assert np.array_equal(counts, expected)

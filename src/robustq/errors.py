@@ -29,7 +29,8 @@ class BranchError(RobustqError):
 
 
 class ResourceError(RobustqError):
-    """A brute-force enumeration would exceed the configured cap."""
+    """The maximiser search has more tied candidates than COMPOSITION_CAP, or
+    ties finer than floats resolve (n_total > 2**53, or tiny count steps)."""
 
 
 class ConvergenceError(RobustqError):

@@ -16,6 +16,8 @@ All operations are pure functions over immutable values.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -168,7 +170,7 @@ class FrequencyAssignment:
 
 @dataclass(frozen=True, eq=False)
 class MaximizerReport:
-    """Result of the brute-force multinomial maximiser search."""
+    """Result of the direct multinomial maximiser search."""
 
     n_total: int
     n_outcomes: int
@@ -414,24 +416,50 @@ def evidence_bound_check(family: OutcomeTable, theta, epsilon,
 # multinomial maximisers and frequency assignments
 # ---------------------------------------------------------------------------
 
-def _compositions(n: int, m: int):
-    """Yield all weak compositions of n into m nonnegative parts."""
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, m - 1):
-            yield (first,) + rest
+def _maximizers(probs: np.ndarray, n_total: int):
+    """The count vectors that maximise the multinomial probability, sorted.
+
+    A greedy fill from floor(N p_j) - 2, below every maximiser by the bound
+    n*_j >= (N + 1) p_j - 1, reaches one, the mode; the others move single
+    units between outcomes whose marginal gains tie (Finucan 1964; Murota
+    2003).  Scores relative to the mode keep exact ties exact."""
+    if n_total > 2 ** 53:
+        raise ResourceError(f"n_total {n_total} exceeds 2**53")
+    p = [float(x) for x in probs]
+    n = [max(0, math.floor(n_total * q) - 2) for q in probs / probs.sum()]
+    heap = sorted((-pj / (nj + 1), j) for j, (pj, nj) in enumerate(zip(p, n)))
+    for _ in range(n_total - sum(n)):
+        j = heap[0][1]
+        n[j] += 1
+        heapq.heapreplace(heap, (-p[j] / (n[j] + 1), j))
+    mode = math.lgamma(n_total + 1) + sum(
+        nj * math.log(pj) - math.lgamma(nj + 1) for nj, pj in zip(n, p))
+    tol = 1e-10 * max(1.0, abs(mode))
+    if any(nj and math.log1p(1 / nj) <= 2 * tol for nj in n):
+        raise ResourceError("one-count steps fall within the tie tolerance")
+    gain = [math.log(pj / (nj + 1)) for pj, nj in zip(p, n)]
+    cost = [math.log(pj / nj) if nj else math.inf for pj, nj in zip(p, n)]
+    top, low = max(gain) + tol, min(cost) - tol
+    give = [j for j, c in enumerate(cost) if c <= top]
+    pool = sorted(give + [i for i, g in enumerate(gain) if g >= low])
+    if (count := math.comb(len(pool), len(give))) > COMPOSITION_CAP:
+        raise ResourceError(f"{count} candidates exceed {COMPOSITION_CAP}")
+    back = {k: cost[k] if k in give else gain[k] for k in pool}
+    spent = math.fsum(cost[j] for j in give)
+    return tuple(sorted(
+        tuple(nj - (j in give) + (j in chosen) for j, nj in enumerate(n))
+        for chosen in itertools.combinations(pool, len(give))
+        if math.fsum(back[k] for k in chosen) >= spent - tol))
 
 
-def frequency_maximizer_suite(counts_or_probs, n_total: int, n_outcomes: int,
-                              cap: int = COMPOSITION_CAP) -> MaximizerReport:
-    """Brute-force maximisers of the multinomial probability, their sharp
-    bracketing bounds, and the induced frequency assignments.
+def frequency_maximizer_suite(counts_or_probs, n_total: int,
+                              n_outcomes: int) -> MaximizerReport:
+    """Maximisers of the multinomial probability, their sharp bracketing
+    bounds, and the induced frequency assignments.
 
-    With a probability vector: enumerate every count composition of
-    ``n_total`` into ``n_outcomes`` parts, locate the maximiser set of the
-    multinomial probability, and verify for each maximiser n* the bounds
+    With a probability vector: find every maximiser n* of the multinomial
+    probability among the compositions of ``n_total`` into ``n_outcomes``
+    parts, and verify for each the bounds
 
         n*_j / (N + m - 1)  <=  p_j  <=  (n*_j + 1) / (N + 1)   for all j.
 
@@ -458,21 +486,7 @@ def frequency_maximizer_suite(counts_or_probs, n_total: int, n_outcomes: int,
     if np.any(probs <= 0):
         raise DomainError("probabilities must be strictly positive")
     n_comp = math.comb(n_total + n_outcomes - 1, n_outcomes - 1)
-    if n_comp > cap:
-        raise ResourceError(f"{n_comp} compositions exceed the cap {cap}")
-
-    log_p = np.log(probs)
-    lg = [math.lgamma(k + 1) for k in range(n_total + 1)]
-    best = -math.inf
-    scored = []
-    for comp in _compositions(n_total, n_outcomes):
-        lp = lg[n_total] - sum(lg[k] for k in comp) \
-            + sum(k * lpk for k, lpk in zip(comp, log_p) if k)
-        scored.append((comp, lp))
-        if lp > best:
-            best = lp
-    tie_tol = 1e-10 * max(1.0, abs(best))
-    maximizers = tuple(c for c, lp in scored if lp >= best - tie_tol)
+    maximizers = _maximizers(probs, n_total)
 
     violations = []
     for comp in maximizers:

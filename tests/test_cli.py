@@ -156,6 +156,19 @@ class TestRun:
         first = rows[1].split(",")
         assert float(first[3]) == 0.6  # 3 / (4 + 1)
 
+    def test_count_maximizer_many_outcomes(self, tmp_path):
+        # one count over 1,000 equal outcomes: each outcome may hold it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "experiment": "count-maximizer",
+            "parameters": {"n_outcomes": 1000, "n_total": 1,
+                           "probs": [1 / 1000] * 1000}}))
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "summary.csv").read_text().split("\n")
+        summary = dict(zip(rows[0].split(","), rows[1].split(",")))
+        assert summary["n_maximizers"] == "1000"
+
     def test_manifest_written_and_complete(self, tmp_path):
         raw = minimal_simulate_config()
         run(raw, output_dir=str(tmp_path))
@@ -190,12 +203,13 @@ class TestMainExitCodes:
         assert (out / "manifest.json").exists()
 
     def test_run_numerical_failure_is_3(self, tmp_path):
-        # a composition count beyond the enumeration cap raises ResourceError
+        # 20 of 40 equal outcomes hold one count: C(40, 20) = 1.4e11
+        # candidate maximisers exceed the cap and raise ResourceError
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
             "experiment": "count-maximizer",
-            "parameters": {"n_outcomes": 9, "n_total": 200,
-                           "probs": [1 / 9] * 9}}))
+            "parameters": {"n_outcomes": 40, "n_total": 20,
+                           "probs": [1 / 40] * 40}}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(path),
                      "--output-dir", str(out)]) == 3

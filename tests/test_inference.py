@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robustq import (CountRecord, OutcomeTable, evidence_bound_check,
                      evidence_quadratic, fisher_discrete,
@@ -314,12 +315,79 @@ class TestFrequencyMaximizerSuite:
                     assert report.bound_violations == ()
 
     def test_composition_cap(self):
+        # 20 of 40 equal outcomes hold one count: C(40, 20) = 1.4e11 candidates
         with pytest.raises(ResourceError):
-            frequency_maximizer_suite(np.full(8, 0.125), 200, 8, cap=1000)
+            frequency_maximizer_suite(np.full(40, 1 / 40), 20, 40)
 
     def test_nonpositive_probability_rejected(self):
         with pytest.raises(DomainError):
             frequency_maximizer_suite(np.array([1.0, 0.0]), 3, 2)
+
+    @pytest.mark.parametrize("m,n_total,expected", [
+        (3, 10 ** 7 + 1, 3), (2, 10 ** 7 + 1, 2), (4, 10 ** 7 + 2, 6)])
+    def test_exact_ties_kept_at_large_n(self, m, n_total, expected):
+        report = frequency_maximizer_suite(np.full(m, 1 / m), n_total, m)
+        assert len(report.maximizers) == expected
+        assert report.bounds_satisfied
+
+    def test_bounds_hold_at_large_n(self):
+        report = frequency_maximizer_suite(np.array([0.1, 0.2, 0.3, 0.4]),
+                                           10 ** 6, 4)
+        assert report.maximizers == ((100000, 200000, 300000, 400000),)
+        assert report.bounds_satisfied
+
+    @pytest.mark.parametrize("m,n_total", [(3, 10 ** 12), (2, 10 ** 400)],
+                             ids=["thirds-1e12", "halves-1e400"])
+    def test_unresolvable_ties_raise(self, m, n_total):
+        # at 1e12, one-count steps of ~3e-12 in the log pmf lie within the
+        # tie tolerance; beyond 2**53 counts are not exact as floats
+        with pytest.raises(ResourceError):
+            frequency_maximizer_suite(np.full(m, 1 / m), n_total, m)
+
+
+def compositions(n, m):
+    """Every weak composition of n into m parts, in lexicographic order."""
+    if m == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in compositions(n - first, m - 1):
+            yield (first,) + rest
+
+
+def enumerated_maximizers(probs, n_total):
+    """oracle: score every composition by its log pmf and keep those within
+    1e-10 * max(1, |best|) of the best, in enumeration order."""
+    log_p = [math.log(p) for p in probs]
+    scored = [(comp, math.lgamma(n_total + 1)
+               - sum(math.lgamma(k + 1) for k in comp)
+               + sum(k * lp for k, lp in zip(comp, log_p) if k))
+              for comp in compositions(n_total, len(probs))]
+    best = max(lp for _, lp in scored)
+    tol = 1e-10 * max(1.0, abs(best))
+    return tuple(comp for comp, lp in scored if lp >= best - tol)
+
+
+# tie-prone rational tables k / 12 and k / 60, Dirichlet draws, and positive
+# weights that do not sum to 1
+RATIONAL = st.tuples(
+    st.sampled_from([12, 60]),
+    st.lists(st.integers(1, 12), min_size=2, max_size=5)).map(
+        lambda dk: [k / dk[0] for k in dk[1]])
+DIRICHLET = st.tuples(st.integers(2, 5), st.integers(0, 2 ** 32 - 1)).map(
+    lambda ms: list(np.random.default_rng(ms[1]).dirichlet(np.ones(ms[0]))))
+WEIGHTS = st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=5)
+
+
+class TestMaximizersAgainstEnumeration:
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(probs=st.one_of(RATIONAL, DIRICHLET, WEIGHTS),
+           n_total=st.integers(1, 24))
+    def test_same_maximizers_in_the_same_order(self, probs, n_total):
+        report = frequency_maximizer_suite(np.array(probs), n_total,
+                                           len(probs))
+        assert report.maximizers == enumerated_maximizers(probs, n_total)
 
 
 def product_cosine_family(theta):

@@ -434,30 +434,34 @@ def build_model(spec: dict) -> eprb.CorrelationModel:
 def _run_scan(config: RunConfig, table_at, model_stat, sim_stat, variance,
               names):
     """Sample ``table_at(theta)`` at each scan angle on the worker pool and
-    compare ``model_stat(theta, table)`` with ``sim_stat(counts, trials)``;
-    ``variance`` maps the model column to the per-trial variance.  Each
-    worker takes one contiguous slice of the angles."""
+    compare ``model_stat(theta, table)`` with ``sim_stat(counts, trials)``,
+    where ``counts[j]`` holds outcome j's count at every angle; ``variance``
+    maps the model column to the per-trial variance.  Each angle's table is
+    built once; each worker tallies one contiguous slice of the stacked
+    tables in one call."""
     params = config.parameters
     thetas = np.linspace(params["theta_start"], params["theta_stop"],
                          params["steps"] + 1)
     trials = params["trials"]
-
-    def one_point(index):
-        table = table_at(thetas[index])
-        drawn = rng.sample_outcome_counts(table.probs, trials, config.seed,
-                                          first_trial=index * trials)
-        return (model_stat(thetas[index], table),
-                sim_stat([int(c) for c in drawn], trials))
+    probs, model = [], []
+    for theta in thetas:
+        table = table_at(theta)
+        probs.append(table.probs)
+        model.append(model_stat(theta, table))
+    probs, model = np.array(probs), np.array(model)
 
     n, workers = thetas.size, min(_worker_cap(), thetas.size)
-    slices = [range(n * w // workers, n * (w + 1) // workers)
+    slices = [slice(n * w // workers, n * (w + 1) // workers)
               for w in range(workers)]
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(lambda part: [one_point(i) for i in part], slices)
-        results = [point for part in parts for point in part]
 
-    model = np.array([m for m, _ in results])
-    sim = np.array([s for _, s in results])
+    def tally(part):
+        return rng.sample_outcome_counts(probs[part], trials, config.seed,
+                                         first_trial=part.start * trials)
+
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        counts = np.concatenate(list(pool.map(tally, slices)))
+
+    sim = sim_stat(counts.T, trials)
     sigma = np.sqrt(np.maximum(variance(model), 0.0) / trials)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_sigma = np.where(sigma > 0, np.abs(sim - model) / sigma,

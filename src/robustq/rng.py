@@ -7,19 +7,33 @@ at counter offset ``b << 64`` of the Philox-4x64 cipher keyed by the seed,
 and each counter step yields four words, so a call generates only the words
 of the trials it covers.  Merging partial counts is integer addition, so
 parallel simulation is bit-exact regardless of scheduling.
+
+The outcome tally takes one table or a (P, m) stack of tables, where table
+``k`` owns trials [first_trial + k*n, first_trial + (k+1)*n).  It walks that
+trial range once, in chunks of ``CHUNK_SIZE`` words aligned to absolute
+trial indices, so it holds one chunk of words at a time, never P*n of them.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 
 import numpy as np
 
 BLOCK_SIZE = 1 << 16
+# words the tally holds at once; divides BLOCK_SIZE, so no chunk crosses a
+# block.  Whole blocks cost more memory per worker; smaller chunks pay the
+# per-chunk generator positioning and Python more often.
+CHUNK_SIZE = 1 << 14
 
 _U64 = (1 << 64) - 1
 _INV = 2.0 ** -53
 _WORDS_PER_STEP = 4  # Philox-4x64 yields four 64-bit words per counter step
+# block b starts at counter b << 64, and the Philox counter has 256 bits
+_END_TRIAL = BLOCK_SIZE << 192
+
+_local = threading.local()
 
 
 def _check_seed(seed: int) -> int:
@@ -32,21 +46,37 @@ def _check_seed(seed: int) -> int:
 
 def _block_words(seed: int, block: int, start: int = 0,
                  count: int = BLOCK_SIZE) -> np.ndarray:
-    """Words [start, start + count) of keystream block ``block``."""
+    """Words [start, start + count) of keystream block ``block``.
+
+    Each thread positions one reusable generator: constructing
+    ``Philox(key=...)`` would draw OS entropy for a seed sequence that the
+    key overrides.
+    """
+    bg = getattr(_local, "philox", None)
+    if bg is None:
+        # an explicit seed draws no entropy; the state below replaces it
+        bg = _local.philox = np.random.Philox(0)
+    counter = (block << 64) + start // _WORDS_PER_STEP
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array([(counter >> shift) & _U64
+                                       for shift in (0, 64, 128, 192)],
+                                      dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(_WORDS_PER_STEP, dtype=np.uint64),
+        "buffer_pos": _WORDS_PER_STEP, "has_uint32": 0, "uinteger": 0,
+    }
     skip = start % _WORDS_PER_STEP
-    bg = np.random.Philox(key=seed,
-                          counter=(block << 64) + start // _WORDS_PER_STEP)
     return bg.random_raw(skip + count)[skip:]
 
 
-def _block_spans(first_trial: int, count: int):
-    """(block, start, count) of each keystream block that trials
-    [first_trial, first_trial + count) touch, in trial order."""
+def _spans(first_trial: int, count: int, size: int):
+    """(trial, count) of each piece of trials [first_trial, first_trial +
+    count) cut at the multiples of ``size``, in trial order."""
     trial, end = first_trial, first_trial + count
     while trial < end:
-        block, off = divmod(trial, BLOCK_SIZE)
-        take = min(BLOCK_SIZE - off, end - trial)
-        yield block, off, take
+        take = min(size - trial % size, end - trial)
+        yield trial, take
         trial += take
 
 
@@ -54,6 +84,8 @@ def _trial_range(first_trial, count) -> tuple:
     first_trial, count = operator.index(first_trial), operator.index(count)
     if count < 0 or first_trial < 0:
         raise ValueError("trial range must be nonnegative")
+    if first_trial + count > _END_TRIAL:
+        raise ValueError("trial range runs past the end of the keystream")
     return first_trial, count
 
 
@@ -67,7 +99,8 @@ def uniforms(seed: int, first_trial: int, count: int) -> np.ndarray:
     first_trial, count = _trial_range(first_trial, count)
     out = np.empty(count)
     pos = 0
-    for block, start, take in _block_spans(first_trial, count):
+    for trial, take in _spans(first_trial, count, BLOCK_SIZE):
+        block, start = divmod(trial, BLOCK_SIZE)
         raw = _block_words(seed, block, start, take)
         # below 2**53 after the shift, so exact as int64 and as a double;
         # converting in place and into ``out`` allocates no temporaries
@@ -79,28 +112,51 @@ def uniforms(seed: int, first_trial: int, count: int) -> np.ndarray:
 
 def sample_outcome_counts(probs, n_trials: int, seed: int,
                           first_trial: int = 0) -> np.ndarray:
-    """Tally ``n_trials`` independent draws from a finite outcome table.
+    """Tally ``n_trials`` independent draws from a finite outcome table,
+    or from each table of a stack.
 
-    Outcome ``k`` owns the subinterval [cum_{k-1}, cum_k) of [0, 1); a trial's
+    ``probs`` is one table of m probabilities, or a (P, m) stack of them;
+    table ``k`` owns trials [first_trial + k*n_trials, first_trial +
+    (k+1)*n_trials), so a stacked call returns, row for row, the counts of
+    P separate calls.  The result has the shape of ``probs``.  Every table
+    must be nonnegative and sum to 1 within 1e-9.
+
+    Outcome ``j`` owns the subinterval [cum_{j-1}, cum_j) of [0, 1); a trial's
     uniform picks the owner.  Zero-probability outcomes own empty intervals
-    and are never drawn.  The tally counts u < cum_k for each inner cut
-    point, one keystream block at a time, and takes differences: the same
-    counts as searchsorted(side="right") and bincount, without either.
+    and are never drawn.  The tally walks the trial range once, in chunks
+    of ``CHUNK_SIZE`` trials aligned to absolute trial indices.  For each
+    table whose segment a chunk covers, it counts u < cum_j over that
+    segment for each inner cut point, and takes differences at the end:
+    the same counts as searchsorted(side="right") and bincount, without
+    either.
     """
     p = np.asarray(probs, dtype=float)
+    if p.ndim not in (1, 2) or p.size == 0:
+        raise ValueError("probs must be a nonempty table or (P, m) stack")
     first_trial, n_trials = _trial_range(first_trial, n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    cum = np.cumsum(p)
-    if not abs(cum[-1] - 1.0) <= 1e-9:
+    tables = p.reshape(-1, p.shape[-1])
+    cum = np.cumsum(tables, axis=1)
+    if not np.all(np.abs(cum[:, -1] - 1.0) <= 1e-9):
         raise ValueError("probabilities must sum to 1")
-    # below[k] counts the trials whose uniform lies below cum[k]; the last
-    # outcome takes the rest, so the top edge is never compared
-    below = [0] * (cum.size - 1)
-    for block, start, take in _block_spans(first_trial, n_trials):
-        u = uniforms(seed, block * BLOCK_SIZE + start, take)
-        below = [b + int(np.count_nonzero(u < c))
-                 for b, c in zip(below, cum[:-1])]
-    return np.diff(np.array([0, *below, n_trials], dtype=np.int64))
+    # below[k, j] counts table k's trials whose uniform lies below
+    # cum[k, j]; the last outcome takes the rest, so the top edge is never
+    # compared
+    below = np.zeros((tables.shape[0], tables.shape[1] - 1), dtype=np.int64)
+    for start, take in _spans(first_trial, tables.shape[0] * n_trials,
+                              CHUNK_SIZE):
+        u = uniforms(seed, start, take)
+        first = (start - first_trial) // n_trials
+        last = (start + take - 1 - first_trial) // n_trials + 1
+        counted = []
+        for k, cuts in enumerate(cum[first:last, :-1].tolist(), first):
+            lo = first_trial + k * n_trials - start
+            seg = u[max(lo, 0):lo + n_trials]
+            counted.append([np.count_nonzero(seg < c) for c in cuts])
+        below[first:last] += np.array(counted, dtype=np.int64)
+        del u, seg  # free this chunk's uniforms before the next is made
+    counts = np.diff(below, axis=1, prepend=0, append=n_trials)
+    return counts if p.ndim == 2 else counts[0]

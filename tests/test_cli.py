@@ -362,14 +362,17 @@ class TestNestedKindValidation:
 class TestThreadCap:
     """Each worker takes a contiguous slice of the scan angles; 70,000
     trials per point make points straddle keystream block boundaries, and
-    steps 0 and 2 give fewer points than workers."""
+    steps 0 and 2 give fewer points than workers.  1,000 trials at 300
+    steps put about 65 points in one keystream block, and points straddle
+    the tally's chunk boundaries."""
 
     def test_scan_output_independent_of_worker_count(self, tmp_path,
                                                      monkeypatch):
         for experiment in ("eprb-scan", "sg-scan"):
-            for steps in (0, 2, 8):
+            for steps, trials in ((0, 70000), (2, 70000), (8, 70000),
+                                  (300, 1000)):
                 raw = {"experiment": experiment, "seed": 3,
-                       "parameters": {"steps": steps, "trials": 70000}}
+                       "parameters": {"steps": steps, "trials": trials}}
                 outputs = set()
                 for threads in ("1", "2", "3", "4"):
                     monkeypatch.setenv("ROBUSTQ_THREADS", threads)

@@ -1,7 +1,9 @@
 """Counter-based streams: keystream slices, trial indices and the outcome
-tally against the searchsorted reference path."""
+tally, one table or a stack, against the searchsorted reference path."""
 
 import math
+import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from robustq import rng
 
 B = rng.BLOCK_SIZE
+C = rng.CHUNK_SIZE
 
 
 def reference_counts(probs, n_trials, seed, first_trial):
@@ -80,6 +83,16 @@ class TestTrialIndices:
         with pytest.raises(ValueError):
             rng.sample_outcome_counts([0.5, 0.5], 0, 7)
 
+    def test_range_past_the_keystream_rejected(self):
+        # the last block starts at counter 2**256 - 2**64
+        end = B << 192
+        assert rng.uniforms(7, end - 1, 1).shape == (1,)
+        with pytest.raises(ValueError):
+            rng.uniforms(7, end, 1)
+        with pytest.raises(ValueError):
+            rng.sample_outcome_counts([[0.5, 0.5]] * 2, 10, 7,
+                                      first_trial=end - 15)
+
     def test_non_integer_indices_rejected(self):
         with pytest.raises(TypeError):
             rng.uniforms(7, 1.0, 3)
@@ -123,3 +136,118 @@ class TestTally:
             counts = rng.sample_outcome_counts(probs, stream.size, 0)
             expected = reference_counts(probs, stream.size, 0, 0)
         assert np.array_equal(counts, expected)
+
+
+def stack_rows(m):
+    """Tables of m outcomes with zeros, trailing ones among them, so that a
+    cut point can equal 1.0."""
+    weight = st.one_of(st.just(0.0), st.integers(1, 4).map(float),
+                       st.floats(1e-6, 1.0))
+    return st.tuples(st.lists(weight, min_size=m, max_size=m),
+                     st.integers(0, m - 1)).map(
+        lambda wz: wz[0][:m - wz[1]] + [0.0] * wz[1]).filter(
+            lambda w: sum(w) > 0).map(
+                lambda w: [x / math.fsum(w) for x in w])
+
+
+@st.composite
+def stacks(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, 3, 1000, C - 1, C + 1, B - 1, B + 1]))
+    # keep P * n near a few blocks so the oracle stays cheap
+    P = min(draw(st.integers(1, 70)), max(1, 3 * B // n))
+    return np.array(draw(st.lists(stack_rows(m), min_size=P, max_size=P))), n
+
+
+class TestStackedTally:
+    """Row k of a stacked call owns trials [first + k*n, first + (k+1)*n):
+    it must equal the one-table call on that range."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(stack=stacks(), seed=st.integers(0, 2 ** 64 - 1),
+           first_trial=st.sampled_from([0, 1, C - 1, C, C + 1, 3 * C + 2,
+                                        B - 1, B, B + 1, 2 * B - 1]))
+    def test_rows_equal_single_table_calls(self, stack, seed, first_trial):
+        probs, n = stack
+        counts = rng.sample_outcome_counts(probs, n, seed,
+                                           first_trial=first_trial)
+        assert counts.dtype == np.int64 and counts.shape == probs.shape
+        for k, row in enumerate(probs):
+            start = first_trial + k * n
+            single = rng.sample_outcome_counts(row, n, seed, first_trial=start)
+            assert single.shape == row.shape
+            assert np.array_equal(counts[k], single)
+            assert np.array_equal(single,
+                                  reference_counts(row, n, seed, start))
+
+    def test_single_table_is_the_one_row_stack(self):
+        probs = [0.25, 0.0, 0.5, 0.25, 0.0]
+        single = rng.sample_outcome_counts(probs, B + 3, 9, first_trial=C - 2)
+        assert single.shape == (5,)
+        assert np.array_equal(
+            single, rng.sample_outcome_counts([probs], B + 3, 9,
+                                              first_trial=C - 2)[0])
+        assert np.array_equal(single,
+                              reference_counts(probs, B + 3, 9, C - 2))
+
+    @pytest.mark.parametrize("probs", [
+        [[0.5, 0.5], [0.5, 0.6]],          # a row not summing to 1
+        [[0.5, 0.5], [1.5, -0.5]],         # a negative entry
+        [[[0.5, 0.5]], [[0.5, 0.5]]],      # 3-D
+        np.zeros((0, 2)),                  # no tables
+    ])
+    def test_malformed_stacks_rejected(self, probs):
+        with pytest.raises(ValueError):
+            rng.sample_outcome_counts(probs, 10, 7)
+
+    def test_no_entropy_drawn(self):
+        """The tally positions one generator per thread and never
+        constructs Philox(key=...), whose seed sequence draws OS entropy.
+        numpy binds ``secrets.randbits`` at import, so both names are
+        patched; the tally runs on a fresh thread, whose generator is made
+        under the patch."""
+        import numpy.random.bit_generator as bit_generator
+
+        probs = np.array([[0.2, 0.3, 0.5], [0.5, 0.0, 0.5], [1.0, 0.0, 0.0]])
+        result = {}
+
+        def tally():
+            result["counts"] = rng.sample_outcome_counts(probs, C + 5, 4,
+                                                         first_trial=B - 7)
+
+        entropy = mock.Mock(side_effect=AssertionError("entropy drawn"))
+        with mock.patch("secrets.randbits", entropy), \
+                mock.patch.object(bit_generator, "randbits", entropy):
+            worker = threading.Thread(target=tally)
+            worker.start()
+            worker.join()
+        assert entropy.call_count == 0
+        for k, row in enumerate(probs):
+            assert np.array_equal(
+                result["counts"][k],
+                reference_counts(row, C + 5, 4, B - 7 + k * (C + 5)))
+
+
+class TestTallyMemory:
+    """The tally holds one chunk of words at a time, never P * n."""
+
+    @staticmethod
+    def peak_bytes(probs, n_trials):
+        rng.sample_outcome_counts(probs, 1, 5)  # this thread's generator
+        tracemalloc.start()
+        try:
+            rng.sample_outcome_counts(probs, n_trials, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_stacked_peak_is_bounded(self):
+        # 10**7 trials: materialising their words would take 80 MB
+        probs = np.tile([0.3, 0.7], (10 ** 4, 1))
+        assert self.peak_bytes(probs, 10 ** 3) < 4 * 2 ** 20
+
+    def test_long_table_holds_less_than_a_block(self):
+        # one table over 10**7 trials: everything the call holds is words
+        # and their uniforms, which a whole block (2 x 512 KB) exceeds
+        assert self.peak_bytes(np.array([0.3, 0.7]), 10 ** 7) < 8 * B

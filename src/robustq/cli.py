@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import tempfile
 import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, NamedTuple, Optional
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -322,20 +323,25 @@ def _canonical_digest(raw: dict) -> str:
 # CSV emission
 # ---------------------------------------------------------------------------
 
+EMIT_CHUNK_ROWS = 2048  # rows formatted and written per chunk
+
+
 def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
 
 
-def _write_atomic(path: str, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a temp file and an atomic rename."""
+def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+    """Write byte ``chunks``, each as it comes, to ``path`` via a temp file
+    and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -343,19 +349,49 @@ def _write_atomic(path: str, payload: bytes) -> None:
         raise
 
 
+def _as_doubles(part: np.ndarray) -> list:
+    # casting a float32 signalling NaN warns; it still formats as "nan"
+    with np.errstate(invalid="ignore"):
+        return part.astype(float, copy=False).tolist()
+
+
+def _column_format(array: np.ndarray):
+    """(format, converter) for one column: ``%d`` for integer dtypes,
+    ``%.17g`` on doubles for float and bool dtypes, and the per-value rule
+    of :func:`_format_value` for anything else, such as object columns."""
+    if array.ndim == 1 and array.dtype.kind in "iu":
+        return "%d", np.ndarray.tolist
+    if array.ndim == 1 and array.dtype.kind in "fb":
+        return "%.17g", _as_doubles
+    return "%s", lambda part: [_format_value(v) for v in part]
+
+
+def _csv_chunks(names, arrays, n_rows: int):
+    """The header line, then the rows in chunks of ``EMIT_CHUNK_ROWS``,
+    each formatted by one ``%`` of a repeated row template."""
+    yield (",".join(names) + "\n").encode("utf-8")
+    formats = [_column_format(a) for a in arrays]
+    row = ",".join(fmt for fmt, _ in formats) + "\n"
+    for start in range(0, n_rows, EMIT_CHUNK_ROWS):
+        stop = min(start + EMIT_CHUNK_ROWS, n_rows)
+        columns = [convert(a[start:stop])
+                   for a, (_, convert) in zip(arrays, formats)]
+        values = tuple(itertools.chain.from_iterable(zip(*columns)))
+        yield ((row * (stop - start)) % values).encode("utf-8")
+
+
 def emit_csv(columns: Dict[str, "np.ndarray"], path: str) -> str:
     """Write named columns as CSV: 17-significant-digit floats (round-trip
-    exact), LF endings, UTF-8, atomic temp-file-plus-rename."""
+    exact), LF endings, UTF-8, atomic temp-file-plus-rename.  Rows are
+    formatted and written a chunk at a time, so memory beyond the columns
+    is bounded by one chunk."""
     names = list(columns.keys())
     arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
     lengths = {a.shape[0] for a in arrays}
     if arrays and len(lengths) > 1:
         raise ValueError("columns must share one length")
     n_rows = lengths.pop() if arrays else 0
-    lines = [",".join(names)]
-    for i in range(n_rows):
-        lines.append(",".join(_format_value(a[i]) for a in arrays))
-    _write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_atomic(path, _csv_chunks(names, arrays, n_rows))
     return path
 
 
@@ -536,16 +572,17 @@ def _run_count_maximizer(config: RunConfig):
     data = np.array(params["probs" if "probs" in params else "counts"])
     report = inference.frequency_maximizer_suite(
         data, params["n_total"], params["n_outcomes"])
-    rows = {"index": [], "slot": [], "count": [], "maximizing_assignment": [],
-            "frequency": []}
-    for i, assignment in enumerate(report.assignments):
-        for j in range(report.n_outcomes):
-            rows["index"].append(i)
-            rows["slot"].append(j)
-            rows["count"].append(assignment.counts[j])
-            rows["maximizing_assignment"].append(assignment.maximizing[j])
-            rows["frequency"].append(assignment.frequencies[j])
-    out = {"assignments.csv": {k: np.array(v) for k, v in rows.items()}}
+    k, m = len(report.assignments), report.n_outcomes
+
+    def stacked(name):  # one row per (maximiser, outcome), maximiser-major
+        return np.array([getattr(a, name)
+                         for a in report.assignments]).reshape(k * m)
+
+    out = {"assignments.csv": {
+        "index": np.repeat(np.arange(k), m), "slot": np.tile(np.arange(m), k),
+        "count": stacked("counts"),
+        "maximizing_assignment": stacked("maximizing"),
+        "frequency": stacked("frequencies")}}
     if report.maximizers is not None:
         out["summary.csv"] = {
             "n_compositions": np.array([report.n_compositions]),
@@ -751,7 +788,7 @@ def run(raw_config: dict, output_dir: Optional[str] = None) -> RunManifest:
                            started=started, finished=_now(), status=status,
                            error=error, output_files=outputs)
     _write_atomic(os.path.join(out_dir, "manifest.json"),
-                  json.dumps(manifest.to_json(), indent=2).encode())
+                  [json.dumps(manifest.to_json(), indent=2).encode()])
     return manifest
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zgttrf as _GTTRF, zgttrs as _GTTRS
 
 from .errors import LinearSolveError, PhaseUndefinedError, StabilityError
 from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, gradient,
@@ -157,35 +158,86 @@ def observables(psi: WaveField, floor: float = DENSITY_FLOOR) -> Observables:
 # Crank-Nicolson propagation
 # ---------------------------------------------------------------------------
 
-def _interior_hamiltonian(grid: Grid1D, fields: GaugeField, t: float,
-                          mass: float, hbar: float):
-    """Tridiagonal H on interior nodes: (diag, upper, lower) bands."""
+def _step_fields(grid: Grid1D, fields: GaugeField, t: float):
+    """A at the interior link midpoints and V at the interior nodes."""
     x = grid.nodes()[1:-1]
+    mid = 0.5 * (x[:-1] + x[1:])
+    return fields.a_values(mid, t), fields.v_values(x, t)
+
+
+def _interior_hamiltonian(grid: Grid1D, fields: GaugeField, a: np.ndarray,
+                          v: np.ndarray, mass: float, hbar: float):
+    """Tridiagonal H on interior nodes, (diag, upper, lower) bands, from the
+    link values ``a`` and node values ``v`` of :func:`_step_fields`."""
     h = grid.spacing
     kin = hbar ** 2 / (2.0 * mass)
     coupling = fields.charge / (hbar * fields.light_speed)
-    mid = 0.5 * (x[:-1] + x[1:])
-    link_phase = coupling * h * fields.a_values(mid, t)
-    diag = (2.0 * kin / h ** 2 + fields.v_values(x, t)).astype(complex)
+    link_phase = coupling * h * a
+    diag = (2.0 * kin / h ** 2 + v).astype(complex)
     upper = -(kin / h ** 2) * np.exp(-1j * link_phase)
     lower = -(kin / h ** 2) * np.exp(+1j * link_phase)
     return diag, upper, lower
 
 
-def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
-             t_mid: float, dt: float, mass: float, hbar: float) -> np.ndarray:
-    diag, upper, lower = _interior_hamiltonian(grid, fields, t_mid, mass, hbar)
+class _CNOperator(NamedTuple):
+    """One step's Crank-Nicolson operator: the explicit half 1 - rH and
+    the implicit half 1 + rH (r = i dt / 2 hbar) as solve_banded's bands,
+    with the LU factors of ``?gttrf`` (None below three interior nodes,
+    which the LAPACK wrappers refuse)."""
+
+    explicit: np.ndarray
+    bands: np.ndarray
+    lu: Optional[tuple]
+
+
+def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
+                 v: np.ndarray, dt: float, mass: float,
+                 hbar: float) -> _CNOperator:
+    diag, upper, lower = _interior_hamiltonian(grid, fields, a, v, mass, hbar)
     r = 0.5j * dt / hbar
-    rhs = (1.0 - r * diag) * interior
-    rhs[:-1] -= r * upper * interior[1:]
-    rhs[1:] -= r * lower * interior[:-1]
-    n = interior.size
+    n = diag.size
     bands = np.zeros((3, n), dtype=complex)
     bands[0, 1:] = r * upper
     bands[1, :] = 1.0 + r * diag
     bands[2, :-1] = r * lower
+    lu = None
+    if n >= 3:
+        # gttrf + gttrs make the same eliminations as solve_banded's gtsv
+        if not np.all(np.isfinite(bands.view(float))):
+            raise LinearSolveError("tridiagonal solve failed: array must "
+                                   "not contain infs or NaNs")
+        *lu, info = _GTTRF(bands[2, :-1], bands[1], bands[0, 1:])
+        if info != 0:  # an exact zero pivot
+            raise LinearSolveError("tridiagonal solve failed: singular matrix")
+    return _CNOperator(1.0 - r * diag, bands, lu)
+
+
+def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
+             t_mid: float, dt: float, mass: float, hbar: float,
+             cache: Optional[dict] = None) -> np.ndarray:
+    """One Crank-Nicolson step of the interior nodes.
+
+    ``cache`` (a dict owned by one propagation) keeps the last operator
+    with the bits of the A and V values it was built from; a step whose
+    values have the same bits reuses it instead of building and factoring
+    it again.  Bits, not values: -0.0 and 0.0 give different phase bytes.
+    """
+    a, v = _step_fields(grid, fields, t_mid)
+    bits = (a.tobytes(), v.tobytes())
+    if cache is not None and cache.get("bits") == bits:
+        op = cache["operator"]
+    else:
+        op = _cn_operator(grid, fields, a, v, dt, mass, hbar)
+        if cache is not None:
+            cache.update(bits=bits, operator=op)
+    rhs = op.explicit * interior
+    rhs[:-1] -= op.bands[0, 1:] * interior[1:]
+    rhs[1:] -= op.bands[2, :-1] * interior[:-1]
     try:
-        out = scipy.linalg.solve_banded((1, 1), bands, rhs)
+        if op.lu is None:
+            out = scipy.linalg.solve_banded((1, 1), op.bands, rhs)
+        else:
+            out, _ = _GTTRS(*op.lu, rhs, overwrite_b=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveError(f"tridiagonal solve failed: {exc}") from exc
     if not np.all(np.isfinite(out.view(float))):
@@ -201,6 +253,12 @@ def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
     The per-sample residual diagnostic uses the neighbouring fine steps for
     the centred time derivative of the phase, so its accuracy follows dt,
     not the sampling stride.  Norm drift beyond 1e-6 aborts the run.
+
+    Each step evaluates A and V at its temporal midpoint.  While their
+    values repeat bit for bit from one step to the next (fields that do not
+    depend on t), the step reuses the previous step's operator and its LU
+    factors; the arithmetic, and so every byte of the result, is that of
+    building and solving it afresh.
     """
     if not psi0.grid.compatible_with(config.grid):
         raise ValueError("psi0 must live on the configured grid")
@@ -222,6 +280,7 @@ def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
 
     current = psi0.values.copy()
     previous = None
+    operator: dict = {}  # the last step's operator; see _cn_step
     for step in range(n_steps + 1):
         t = step * config.dt
         if step in sample_set:
@@ -243,7 +302,7 @@ def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
         t_mid = t + 0.5 * config.dt
         nxt = np.zeros_like(current)
         nxt[1:-1] = _cn_step(current[1:-1], grid, fields, t_mid, config.dt,
-                             config.mass, config.hbar)
+                             config.mass, config.hbar, operator)
         for idx, before, at in pending:
             residuals[idx] = _hje_residual_triplet(
                 grid, before, at, nxt, config.dt, fields, times[idx], config)

@@ -7,13 +7,17 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robustq.cli import (EXPERIMENTS, emit_csv, main, run, validate_config)
+import robustq
+from robustq.cli import (EMIT_CHUNK_ROWS, EXPERIMENTS, emit_csv, main, run,
+                         validate_config)
 from robustq.errors import ConfigError
 
 
@@ -109,6 +113,83 @@ class TestEmitCsv:
         with pytest.raises(ValueError):
             emit_csv({"x": np.array(["not-a-number"])}, str(path))
         assert list(tmp_path.iterdir()) == []
+
+
+def reference_csv(columns):
+    """The per-value emitter the chunked one replaced: the bytes it wrote."""
+    def format_value(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".17g")
+
+    names = list(columns.keys())
+    arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
+    n_rows = arrays[0].shape[0] if arrays else 0
+    lines = [",".join(names)]
+    for i in range(n_rows):
+        lines.append(",".join(format_value(a[i]) for a in arrays))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def float_specials(kind):
+    """NaN, +-inf, +-0.0, the extreme subnormals and normals of ``kind``."""
+    info = np.finfo(kind)
+    return [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.1,
+            float(info.smallest_subnormal), -float(info.smallest_subnormal),
+            float(info.tiny), float(info.max), -float(info.max)]
+
+
+# planted among random bit patterns, with the largest uint64
+INT_SPECIALS = {np.int64: [0, -1, 2 ** 63 - 1, -2 ** 63],
+                np.uint64: [0, 1, 2 ** 64 - 1, 2 ** 63]}
+
+
+def random_column(kind, n, rng):
+    if kind in (np.int64, np.uint64):
+        column = rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(kind)
+        specials = INT_SPECIALS[kind]
+    elif kind is bool:
+        return rng.integers(0, 2, n).astype(bool)
+    elif kind in (np.float32, np.float64):
+        words = np.uint32 if kind is np.float32 else np.uint64
+        column = rng.integers(0, np.iinfo(words).max, n, dtype=words,
+                              endpoint=True).view(kind)
+        specials = float_specials(kind)
+    else:  # object: Python ints (some past 64 bits) and floats mixed
+        column = np.empty(n, dtype=object)
+        for i in range(n):
+            column[i] = (int(rng.integers(-2 ** 62, 2 ** 62)) * 7 ** 30
+                         if rng.random() < 0.5 else float(rng.standard_normal()))
+        specials = float_specials(np.float64) + [3, -2 ** 70]
+    for i in rng.integers(0, max(n, 1), min(n, 12)):
+        column[i] = specials[int(rng.integers(len(specials)))]
+    return column
+
+
+class TestEmitCsvOracle:
+    """The chunked emitter writes the per-value emitter's bytes."""
+
+    KINDS = (np.int64, np.uint64, bool, np.float32, np.float64, object)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=60)
+    @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
+           n_rows=st.sampled_from([0, 1, 7, EMIT_CHUNK_ROWS - 1,
+                                   EMIT_CHUNK_ROWS, EMIT_CHUNK_ROWS + 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bytes_equal_per_value_reference(self, kinds, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        columns = {f"c{j}": random_column(kind, n_rows, rng)
+                   for j, kind in enumerate(kinds)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            emit_csv(columns, path)
+            with open(path, "rb") as handle:
+                assert handle.read() == reference_csv(columns)
+
+    def test_no_columns(self, tmp_path):
+        emit_csv({}, str(tmp_path / "t.csv"))
+        assert (tmp_path / "t.csv").read_bytes() == reference_csv({}) == b"\n"
 
 
 class TestRun:
@@ -380,6 +461,37 @@ class TestThreadCap:
                     run(raw, output_dir=str(out))
                     outputs.add((out / "scan.csv").read_bytes())
                 assert len(outputs) == 1, (experiment, steps)
+
+
+class TestBlasThreads:
+    """Propagation calls LAPACK's tridiagonal LU directly; its bytes must
+    not depend on the BLAS thread count."""
+
+    CONFIGS = [
+        {"experiment": "tdse-run",
+         "parameters": {"n_points": 2001, "t_final": 0.02}},
+        {"experiment": "gauge-check"},
+    ]
+    SCRIPT = ("import json, os, sys\n"
+              "from robustq.cli import run\n"
+              "for i, raw in enumerate(json.loads(sys.argv[1])):\n"
+              "    run(raw, output_dir=os.path.join(sys.argv[2], str(i)))\n")
+
+    def test_propagation_bytes_independent_of_blas_threads(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(robustq.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-c", self.SCRIPT,
+                            json.dumps(self.CONFIGS), str(out)],
+                           env=env, check=True, timeout=600)
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*.csv"))})
+        assert len(outputs[0]) == 3  # trace, final_state, gauge
+        assert outputs[0] == outputs[1]
 
 
 class TestRangeChecks:

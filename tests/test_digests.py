@@ -2,7 +2,10 @@
 was recorded.
 
 The configs are those of the CLI smoke test, plus three count-maximizer
-configs with many tied maximisers.  tise-minimize is left out: its
+configs with many tied maximisers, a 40,000-row count-maximizer and a
+5,001-point tise-solve (each spans several emission chunks), a tdse-run
+whose fields change every step, and a gauge-check with a constant gauge
+function.  tise-minimize is left out: its
 iteration count may change legitimately, so the benchmark holds it to
 gates instead of digests.  The recorded bytes were the same with
 OPENBLAS_NUM_THREADS and ROBUSTQ_THREADS both set to 1 and both set to 2.
@@ -25,6 +28,12 @@ CONFIGS = {
         "experiment": "count-maximizer",
         "parameters": {"n_outcomes": 5, "n_total": 12, "probs": [0.2] * 5}},
     # 6 maximisers: two of four units at gain 1/12 go to four outcomes
+    "count-maximizer-wide": {
+        "assignments.csv":
+            "74addd4716d7582de5712f3a491e18d88a967e6c8a6575f99c3585a879f3a415",
+        "summary.csv":
+            "4d1b7f4c8cb7691811b5a9470e456fa2a1b4848bec54de49aba2b1fb4c9ac159",
+    },
     "count-maximizer-twelfths": {
         "experiment": "count-maximizer",
         "parameters": {"n_outcomes": 4, "n_total": 10,
@@ -34,6 +43,24 @@ CONFIGS = {
         "experiment": "count-maximizer",
         "parameters": {"n_outcomes": 5, "n_total": 17,
                        "probs": [6 / 60, 12 / 60, 12 / 60, 15 / 60, 15 / 60]}},
+    # 200 maximisers x 200 outcomes = 40,000 assignments rows
+    "count-maximizer-wide": {
+        "experiment": "count-maximizer",
+        "parameters": {"n_outcomes": 200, "n_total": 1,
+                       "probs": [1 / 200] * 200}},
+    # A and V both change every step, so each step builds its own operator
+    "tdse-run-driven": {
+        "experiment": "tdse-run",
+        "parameters": {**SMOKE["tdse-run"]["parameters"],
+                       "vector_potential": {"kind": "uniform_sin"},
+                       "scalar_potential": {"kind": "harmonic"}}},
+    "gauge-check-constant": {
+        "experiment": "gauge-check",
+        "parameters": {**SMOKE["gauge-check"]["parameters"],
+                       "chi": {"kind": "constant"}}},
+    "tise-solve-chunks": {
+        "experiment": "tise-solve",
+        "parameters": {"n_points": 5001, "n_states": 2}},
 }
 
 DIGESTS = {
@@ -54,6 +81,12 @@ DIGESTS = {
             "b83d44e023a5ddd68c287a19d9a8a42ca066ddf6f0b5a53c7e7ba56d7c13771a",
         "summary.csv":
             "2622e5657f16b62eba13c29093a0bae82a1da5563793d2067c1d0e88d10c511a",
+    },
+    "count-maximizer-wide": {
+        "assignments.csv":
+            "74addd4716d7582de5712f3a491e18d88a967e6c8a6575f99c3585a879f3a415",
+        "summary.csv":
+            "4d1b7f4c8cb7691811b5a9470e456fa2a1b4848bec54de49aba2b1fb4c9ac159",
     },
     "count-maximizer-twelfths": {
         "assignments.csv":
@@ -79,6 +112,10 @@ DIGESTS = {
         "gauge.csv":
             "64bdc828bb2b62013c67ed841e45ef52873f113d3f2f7843420362bcadcef340",
     },
+    "gauge-check-constant": {
+        "gauge.csv":
+            "b38737daeb12ea1b121272f756d7a304bc325fb53383646b6d7ba2420e7f1e92",
+    },
     "sg-scan": {
         "scan.csv":
             "585c60e9906fe0b94714cd416c1d78a80da3ed4cf57a7e012ea91ff8c9e1273a",
@@ -89,11 +126,23 @@ DIGESTS = {
         "trace.csv":
             "4b0c38dffd0fa39255dc98eb05874ec41c493df9b6ad2fbbd5f78a7148a1d29f",
     },
+    "tdse-run-driven": {
+        "final_state.csv":
+            "2d8ed887a65e191e927cdebe7b4bf7a37c944117b0234f58a9576ffc576e5ad5",
+        "trace.csv":
+            "41f5416794c9350b364af0a0e794db08f7f14c888fb1b5bc798d5065d832a6e6",
+    },
     "tise-solve": {
         "eigenvalues.csv":
             "bfc61c78b2bcb0082e8ed7c2fbee620444eb9121645d234214137ca208605e31",
         "states.csv":
             "e4f59e1635504eed8e85167cd821189f093fa1e7444daeedc4719e174eceb659",
+    },
+    "tise-solve-chunks": {
+        "eigenvalues.csv":
+            "9ddba745cd2dd0645d76156c66b6e35e3374cf341ff23128f3b0f80a218e6fc8",
+        "states.csv":
+            "d444410ccaf0770536ece2ae7fe7437092d2ca7821e2c28e0e37f9e825163a66",
     },
 }
 

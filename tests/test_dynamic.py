@@ -1,16 +1,19 @@
 """Propagation verification: unitarity, the free-packet width law,
 stationary-state stability, gauge transformation, the averaged
-Hamilton-Jacobi residual, and the dynamic quadratic form."""
+Hamilton-Jacobi residual, the dynamic quadratic form, and operator reuse
+against a stepper that builds and solves every step afresh."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from robustq import (GaugeField, Grid1D, PropagatorConfig, ScalarField,
-                     StationaryProblem, avg_hje_residual,
+                     StationaryProblem, avg_hje_residual, dynamic,
                      dynamic_wave_functional, gauge_transform,
                      normalized_wave, observables, propagate, solve_eigen)
+from robustq.errors import LinearSolveError
 
 
 def packet(grid, sigma=1.0, x0=0.0, k0=0.0):
@@ -350,3 +353,157 @@ class TestMinimalCouplingDynamics:
         _, trace = propagate(psi0, fields, config)
         for t, mean in zip(trace.times, trace.mean_x):
             assert mean == pytest.approx(math.cos(t), abs=2e-4)
+
+
+# ---------------------------------------------------------------------------
+# operator reuse: bit-identical to building and solving every step afresh
+# ---------------------------------------------------------------------------
+
+def reference_hamiltonian(grid, fields, t, mass, hbar):
+    """Tridiagonal H on interior nodes, built from the fields at t."""
+    x = grid.nodes()[1:-1]
+    h = grid.spacing
+    kin = hbar ** 2 / (2.0 * mass)
+    coupling = fields.charge / (hbar * fields.light_speed)
+    mid = 0.5 * (x[:-1] + x[1:])
+    link_phase = coupling * h * fields.a_values(mid, t)
+    diag = (2.0 * kin / h ** 2 + fields.v_values(x, t)).astype(complex)
+    upper = -(kin / h ** 2) * np.exp(-1j * link_phase)
+    lower = -(kin / h ** 2) * np.exp(+1j * link_phase)
+    return diag, upper, lower
+
+
+def reference_cn_step(interior, grid, fields, t_mid, dt, mass, hbar,
+                      cache=None):
+    """One Crank-Nicolson step that builds the operator and solves with
+    solve_banded every time; ``cache`` is ignored."""
+    diag, upper, lower = reference_hamiltonian(grid, fields, t_mid, mass,
+                                               hbar)
+    r = 0.5j * dt / hbar
+    rhs = (1.0 - r * diag) * interior
+    rhs[:-1] -= r * upper * interior[1:]
+    rhs[1:] -= r * lower * interior[:-1]
+    n = interior.size
+    bands = np.zeros((3, n), dtype=complex)
+    bands[0, 1:] = r * upper
+    bands[1, :] = 1.0 + r * diag
+    bands[2, :-1] = r * lower
+    try:
+        out = scipy.linalg.solve_banded((1, 1), bands, rhs)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise LinearSolveError(f"tridiagonal solve failed: {exc}") from exc
+    if not np.all(np.isfinite(out.view(float))):
+        raise LinearSolveError("tridiagonal solve produced non-finite values")
+    return out
+
+
+def outcome(psi0, fields, config):
+    """The bytes of a run's final state and trace, or its exception class."""
+    try:
+        final, trace = propagate(psi0, fields, config)
+    except Exception as exc:  # compared by class against the reference
+        return type(exc)
+    return [final.values.tobytes()] + [
+        getattr(trace, name).tobytes()
+        for name in ("times", "norm", "mean_x", "width", "fisher_spatial",
+                     "hje_residual")]
+
+
+def reference_outcome(psi0, fields, config, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamic, "_cn_step", reference_cn_step)
+        return outcome(psi0, fields, config)
+
+
+def harmonic_v(x, t):
+    return 0.5 * np.asarray(x, dtype=float) ** 2
+
+
+def uniform_sin_a(x, t):
+    return 0.8 * math.sin(3.0 * t) * np.ones_like(np.asarray(x, dtype=float))
+
+
+def count_builds(monkeypatch):
+    builds = []
+    build = dynamic._cn_operator
+
+    def counted(*args, **kwargs):
+        builds.append(args[2].copy())  # the link values of A
+        return build(*args, **kwargs)
+    monkeypatch.setattr(dynamic, "_cn_operator", counted)
+    return builds
+
+
+class TestOperatorReuse:
+    GRID = Grid1D.from_interval(-10, 10, 401)
+    CONFIG = PropagatorConfig(grid=GRID, dt=1e-3, t_final=0.03,
+                              sample_stride=4)
+    FIELDS = {
+        "zero": GaugeField(),
+        "harmonic": GaugeField(V=harmonic_v),
+        "driven": GaugeField(A=uniform_sin_a, V=harmonic_v),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_bit_identical_to_fresh_operator(self, name, monkeypatch):
+        psi0 = packet(self.GRID, sigma=0.9, k0=0.7)
+        fields = self.FIELDS[name]
+        expected = reference_outcome(psi0, fields, self.CONFIG, monkeypatch)
+        builds = count_builds(monkeypatch)
+        assert outcome(psi0, fields, self.CONFIG) == expected
+        # fields that do not depend on t build one operator for 30 steps
+        assert len(builds) == (30 if name == "driven" else 1)
+
+    @pytest.mark.parametrize("chi", [
+        lambda x, t: 0.6 * np.asarray(x, dtype=float) * math.sin(t),
+        lambda x, t: 2.0 * np.ones_like(np.asarray(x, dtype=float)),
+    ], ids=["x_sin_t", "constant"])
+    @pytest.mark.parametrize("name", ["zero", "harmonic"])
+    def test_gauge_transformed_fields(self, chi, name, monkeypatch):
+        psi, fields = gauge_transform(packet(self.GRID, sigma=0.9),
+                                      self.FIELDS[name], chi, 0.0)
+        psi0 = normalized_wave(self.GRID, psi.values)
+        assert outcome(psi0, fields, self.CONFIG) == reference_outcome(
+            psi0, fields, self.CONFIG, monkeypatch)
+
+    @pytest.mark.parametrize("stride", [2, 10 ** 9])
+    @pytest.mark.parametrize("n_points", [3, 4, 5])
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_smallest_interiors(self, n_points, name, stride, monkeypatch):
+        # 1 and 2 interior nodes go through solve_banded, 3 through ?gttrf;
+        # sampling every other step fails alike (the residual finds no
+        # phase on 1 or 2 interior nodes), sampling only the ends does not
+        grid = Grid1D.from_interval(-1, 1, n_points)
+        config = PropagatorConfig(grid=grid, dt=1e-3, t_final=0.005,
+                                  sample_stride=stride)
+        hump = np.sin(np.pi * np.arange(n_points) / (n_points - 1))
+        psi0 = normalized_wave(grid, hump * np.exp(0.3j * grid.nodes()))
+        fields = self.FIELDS[name]
+        assert outcome(psi0, fields, config) == reference_outcome(
+            psi0, fields, config, monkeypatch)
+
+    def test_negative_zero_does_not_share_an_operator(self, monkeypatch):
+        # A = -0.0 on the first step and 0.0 after: equal values, other bits
+        def signed_zero_a(x, t):
+            sign = -0.0 if t < 1e-3 else 0.0
+            return np.full(np.shape(x), sign)
+
+        fields = GaugeField(A=signed_zero_a, V=harmonic_v)
+        psi0 = packet(self.GRID, sigma=0.9, k0=0.7)
+        expected = reference_outcome(psi0, fields, self.CONFIG, monkeypatch)
+        builds = count_builds(monkeypatch)
+        assert outcome(psi0, fields, self.CONFIG) == expected
+        assert [np.signbit(a).all() for a in builds] == [True, False]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("n_points", [4, 401])
+    def test_non_finite_field_fails_alike(self, bad, n_points, monkeypatch):
+        grid = Grid1D.from_interval(-10, 10, n_points)
+        config = PropagatorConfig(grid=grid, dt=1e-3, t_final=0.003)
+        fields = GaugeField(V=lambda x, t: np.full(np.shape(x), bad))
+        psi0 = normalized_wave(grid, np.exp(-grid.nodes() ** 2)
+                               + 0.1 * np.ones(n_points))
+        expected = reference_outcome(psi0, fields, config, monkeypatch)
+        assert expected is LinearSolveError
+        assert outcome(psi0, fields, config) is expected

@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 
@@ -67,15 +67,7 @@ class RunManifest:
     output_files: list
 
     def to_json(self) -> dict:
-        return {
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-            "status": self.status,
-            "error": self.error,
-            "output_files": self.output_files,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -467,24 +459,19 @@ def build_model(spec: dict) -> eprb.CorrelationModel:
 # experiment handlers (each returns {filename: columns})
 # ---------------------------------------------------------------------------
 
-def _run_scan(config: RunConfig, table_at, model_stat, sim_stat, variance,
-              names):
-    """Sample ``table_at(theta)`` at each scan angle on the worker pool and
-    compare ``model_stat(theta, table)`` with ``sim_stat(counts, trials)``,
-    where ``counts[j]`` holds outcome j's count at every angle; ``variance``
-    maps the model column to the per-trial variance.  Each angle's table is
-    built once; each worker tallies one contiguous slice of the stacked
-    tables in one call."""
+def _run_scan(config: RunConfig, point, sim_stat, variance, names):
+    """Sample each scan angle's probability row on the worker pool and
+    compare its model statistic with ``sim_stat(counts, trials)``, where
+    ``point(theta)`` gives (model statistic, probability row) and
+    ``counts[j]`` holds outcome j's count at every angle; ``variance`` maps
+    the model column to the per-trial variance.  Each worker tallies one
+    contiguous slice of the stacked rows in one call."""
     params = config.parameters
     thetas = np.linspace(params["theta_start"], params["theta_stop"],
                          params["steps"] + 1)
     trials = params["trials"]
-    probs, model = [], []
-    for theta in thetas:
-        table = table_at(theta)
-        probs.append(table.probs)
-        model.append(model_stat(theta, table))
-    probs, model = np.array(probs), np.array(model)
+    model, probs = zip(*map(point, thetas))
+    model, probs = np.array(model), np.array(probs)
 
     n, workers = thetas.size, min(_worker_cap(), thetas.size)
     slices = [slice(n * w // workers, n * (w + 1) // workers)
@@ -508,27 +495,35 @@ def _run_scan(config: RunConfig, table_at, model_stat, sim_stat, variance,
 
 def _run_eprb_scan(config: RunConfig):
     model = build_model(config.parameters["model"])
+
+    def point(theta):
+        e12 = model.correlation_vs_angle(theta)
+        return e12, eprb.pair_probabilities(e12)
+
     # counts in PAIR_OUTCOMES order: (++, +-, -+, --)
-    return _run_scan(config, lambda theta: eprb.pair_table(theta, model),
-                     lambda theta, table: model.correlation_vs_angle(theta),
+    return _run_scan(config, point,
                      lambda c, n: (c[0] + c[3] - c[1] - c[2]) / n,
                      lambda corr: 1.0 - corr ** 2, ("E12_model", "E12_sim"))
 
 
 def _run_sg_scan(config: RunConfig):
-    branch = config.parameters["branch_sign"]
-    return _run_scan(
-        config, lambda theta: sterngerlach.sg_table_from_angle(theta, branch),
-        lambda theta, table: table.probs[0], lambda c, n: c[0] / n,
-        lambda p: p * (1 - p), ("p_plus_model", "p_plus_sim"))
+    family = sterngerlach.sg_family(config.parameters["branch_sign"])
+
+    def point(theta):
+        row = family([theta])
+        return row[0], row
+
+    return _run_scan(config, point, lambda c, n: c[0] / n,
+                     lambda p: p * (1 - p), ("p_plus_model", "p_plus_sim"))
 
 
 def _run_eprb_simulate(config: RunConfig):
     params = config.parameters
     model = build_model(params["model"])
     theta = params["theta"]
-    counts = eprb.simulate_pairs(theta, model, params["trials"], config.seed)
     table = eprb.pair_table(theta, model)
+    counts = eprb.simulate_pairs_from_table(table, params["trials"],
+                                            config.seed)
     return {
         "counts.csv": {
             "outcome_x": np.array([o[0] for o in eprb.PAIR_OUTCOMES]),

@@ -214,7 +214,7 @@ def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
 
 def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
              t_mid: float, dt: float, mass: float, hbar: float,
-             cache: Optional[dict] = None) -> np.ndarray:
+             cache: dict) -> np.ndarray:
     """One Crank-Nicolson step of the interior nodes.
 
     ``cache`` (a dict owned by one propagation) keeps the last operator
@@ -224,12 +224,11 @@ def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
     """
     a, v = _step_fields(grid, fields, t_mid)
     bits = (a.tobytes(), v.tobytes())
-    if cache is not None and cache.get("bits") == bits:
+    if cache.get("bits") == bits:
         op = cache["operator"]
     else:
         op = _cn_operator(grid, fields, a, v, dt, mass, hbar)
-        if cache is not None:
-            cache.update(bits=bits, operator=op)
+        cache.update(bits=bits, operator=op)
     rhs = op.explicit * interior
     rhs[:-1] -= op.bands[0, 1:] * interior[1:]
     rhs[1:] -= op.bands[2, :-1] * interior[:-1]

@@ -320,9 +320,8 @@ def simulate_pairs_from_table(table: OutcomeTable, n_trials: int, seed: int,
     """
     if tuple(table.outcomes) != PAIR_OUTCOMES:
         raise ValueError("table outcomes must be in canonical pair order")
-    counts = rng.sample_outcome_counts(table.probs, n_trials, seed,
-                                       first_trial=first_trial)
-    return PairCounts(*[int(c) for c in counts])
+    return PairCounts(*rng.sample_outcome_counts(
+        table.probs, n_trials, seed, first_trial=first_trial).tolist())
 
 
 def simulate_pairs(theta: float, model: CorrelationModel, n_trials: int,

@@ -78,8 +78,5 @@ def sg_table(setting: MagnetSetting) -> OutcomeTable:
 def simulate_sg(setting: MagnetSetting, n_trials: int, seed: int,
                 first_trial: int = 0) -> CountRecord:
     """Seeded deflection draws; deterministic in (setting, n_trials, seed)."""
-    table = sg_table(setting)
-    counts = rng.sample_outcome_counts(table.probs, n_trials, seed,
-                                       first_trial=first_trial)
-    return CountRecord(outcomes=SG_OUTCOMES,
-                       counts=tuple(int(c) for c in counts))
+    return CountRecord(SG_OUTCOMES, rng.sample_outcome_counts(
+        sg_table(setting).probs, n_trials, seed, first_trial=first_trial))

@@ -207,6 +207,18 @@ class TestRun:
         assert float(first["E12_model"]) == -1.0
         assert float(first["E12_sim"]) == -1.0
 
+    def test_scans_build_no_outcome_table(self, tmp_path, monkeypatch):
+        # a scan hands each angle's probability row straight to the tally
+        def refuse(table):
+            raise AssertionError("a scan built an OutcomeTable")
+
+        monkeypatch.setattr(robustq.OutcomeTable, "__post_init__", refuse)
+        for experiment in ("eprb-scan", "sg-scan"):
+            raw = {"experiment": experiment, "seed": 7,
+                   "parameters": {"steps": 8, "trials": 100}}
+            manifest = run(raw, output_dir=str(tmp_path / experiment))
+            assert manifest.status == "ok", manifest.error
+
     def test_same_config_same_digests(self, tmp_path):
         raw = minimal_simulate_config()
         m1 = run(raw, output_dir=str(tmp_path / "a"))
@@ -260,6 +272,13 @@ class TestRun:
         assert names == {"counts.csv", "stats.csv"}
         for entry in manifest["output_files"]:
             assert len(entry["sha256"]) == 64
+
+    def test_manifest_key_order(self, tmp_path):
+        run(minimal_simulate_config(), output_dir=str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert list(manifest) == ["config_digest", "tool_version", "started",
+                                  "finished", "status", "error",
+                                  "output_files"]
 
 
 class TestMainExitCodes:

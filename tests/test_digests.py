@@ -4,14 +4,17 @@ was recorded.
 The configs are those of the CLI smoke test, plus three count-maximizer
 configs with many tied maximisers, a 40,000-row count-maximizer and a
 5,001-point tise-solve (each spans several emission chunks), a tdse-run
-whose fields change every step, and a gauge-check with a constant gauge
-function.  tise-minimize is left out: its
+whose fields change every step, a gauge-check with a constant gauge
+function, and the scan models the smoke configs leave out (triplet_z0,
+two general (K, phi) curves and branch -1) at 1,000 trials x 301 angles
+over [-1.3, 7.0].  tise-minimize is left out: its
 iteration count may change legitimately, so the benchmark holds it to
 gates instead of digests.  The recorded bytes were the same with
 OPENBLAS_NUM_THREADS and ROBUSTQ_THREADS both set to 1 and both set to 2.
 """
 
 import hashlib
+import math
 
 import pytest
 
@@ -19,6 +22,8 @@ import test_cli
 from robustq.cli import run
 
 SMOKE = test_cli.TestAllExperimentsSmoke.CONFIGS
+WIDE_SCAN = {"theta_start": -1.3, "theta_stop": 7.0, "steps": 300,
+             "trials": 1000}
 CONFIGS = {
     **{experiment: {"experiment": experiment, **config}
        for experiment, config in SMOKE.items()
@@ -28,12 +33,6 @@ CONFIGS = {
         "experiment": "count-maximizer",
         "parameters": {"n_outcomes": 5, "n_total": 12, "probs": [0.2] * 5}},
     # 6 maximisers: two of four units at gain 1/12 go to four outcomes
-    "count-maximizer-wide": {
-        "assignments.csv":
-            "74addd4716d7582de5712f3a491e18d88a967e6c8a6575f99c3585a879f3a415",
-        "summary.csv":
-            "4d1b7f4c8cb7691811b5a9470e456fa2a1b4848bec54de49aba2b1fb4c9ac159",
-    },
     "count-maximizer-twelfths": {
         "experiment": "count-maximizer",
         "parameters": {"n_outcomes": 4, "n_total": 10,
@@ -61,6 +60,21 @@ CONFIGS = {
     "tise-solve-chunks": {
         "experiment": "tise-solve",
         "parameters": {"n_points": 5001, "n_states": 2}},
+    # the scan models the smoke configs leave out, over angles past [0, pi]
+    "eprb-scan-triplet": {
+        "experiment": "eprb-scan", "seed": 1,
+        "parameters": {**WIDE_SCAN, "model": {"kind": "triplet_z0"}}},
+    "eprb-scan-k2-pi": {
+        "experiment": "eprb-scan", "seed": 1,
+        "parameters": {**WIDE_SCAN,
+                       "model": {"kind": "general", "K": 2, "phi": math.pi}}},
+    "eprb-scan-k3-0": {
+        "experiment": "eprb-scan", "seed": 1,
+        "parameters": {**WIDE_SCAN,
+                       "model": {"kind": "general", "K": 3, "phi": 0.0}}},
+    "sg-scan-minus": {
+        "experiment": "sg-scan", "seed": 1,
+        "parameters": {**WIDE_SCAN, "branch_sign": -1}},
 }
 
 DIGESTS = {
@@ -98,6 +112,18 @@ DIGESTS = {
         "scan.csv":
             "71df6d1d94e4a4ae530e848a97afcf617a5ba77b9cd22b9e4741a64d96be1c03",
     },
+    "eprb-scan-k2-pi": {
+        "scan.csv":
+            "00f3f4cc65e10eac1c40e796aed089d301600244633259a87dc5c1df59b1963a",
+    },
+    "eprb-scan-k3-0": {
+        "scan.csv":
+            "65c33bedd3c1364ecad9aa1caa11f8ce5c27e80570b486e9a58c2cab67020df0",
+    },
+    "eprb-scan-triplet": {
+        "scan.csv":
+            "009194edae5dc3303a797ee1654b905b0caacecb7a6a49571b3c20ace98269eb",
+    },
     "eprb-simulate": {
         "counts.csv":
             "ea0f5c6b8e95dd1e0401262d48b061caf8aceabed2b1a1a533c50966ed5796d6",
@@ -119,6 +145,10 @@ DIGESTS = {
     "sg-scan": {
         "scan.csv":
             "585c60e9906fe0b94714cd416c1d78a80da3ed4cf57a7e012ea91ff8c9e1273a",
+    },
+    "sg-scan-minus": {
+        "scan.csv":
+            "fccdb0f4b0b00b4706427b2f0a5128eb92f7990a6178271961a65b026a126f41",
     },
     "tdse-run": {
         "final_state.csv":

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from . import dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
-from .grid import Grid1D, ScalarField, WaveField, normalized_wave
+from .grid import Grid1D, ScalarField, WaveField, _dot, normalized_wave
 
 THREADS_ENV = "ROBUSTQ_THREADS"
 
@@ -236,6 +236,7 @@ def _check_relations(top: dict, diags: list) -> None:
     """The rules that span keys, run once every key is valid on its own.
     Where the library owns a rule, it is asked rather than restated."""
     phys, p = top["physics"], top["parameters"]
+    budgets = []  # (key path, what the run needs, budget, unit)
     lam = phys.get("lambda")
     if phys["default_units"] and lam is not None \
             and abs(lam - 4.0 / phys["hbar"] ** 2) > 1e-9:
@@ -251,6 +252,22 @@ def _check_relations(top: dict, diags: list) -> None:
     if "dt" in p and not dynamic.whole_steps(p["t_final"], p["dt"]):
         diags.append(f"parameters.t_final: must be a whole number of "
                      f"parameters.dt ({p['dt']!r}) steps; got {p['t_final']!r}")
+    elif "dt" in p:  # tdse-run, gauge-check
+        n_steps = round(p["t_final"] / p["dt"])
+        budgets.append(("parameters.t_final", n_steps * p["n_points"],
+                        _MAX_NODE_STEPS, "node-steps (steps × n_points)"))
+        if "sample_stride" in p:  # every stride-th step and the last
+            budgets.append(("parameters.sample_stride",
+                            -(-n_steps // p["sample_stride"]) + 1, _MAX_ROWS,
+                            "trace rows"))
+    if _SCHEMAS[top["experiment"]].stochastic:
+        points = p.get("steps", 0) + 1
+        budgets += [("parameters.trials", p["trials"] * points, _MAX_DRAWS,
+                     "draws (trials × scan points)"),
+                    ("parameters.steps", points, _MAX_ROWS, "scan rows")]
+    diags.extend(f"{path}: the run needs {need} {what}, over the budget of "
+                 f"{budget}" for path, need, budget, what in budgets
+                 if need > budget)
     if "model" in p:
         try:
             build_model(p["model"])
@@ -320,7 +337,10 @@ EMIT_CHUNK_ROWS = 2048  # rows formatted and written per chunk
 
 def _format_value(value) -> str:
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
+        # exact past str(int)'s digit limit; imported here, as only object
+        # columns come this way and loading it costs every run about 0.3 MB
+        import decimal
+        return str(decimal.Decimal(int(value)))
     return format(float(value), ".17g")
 
 
@@ -704,7 +724,7 @@ def _run_gauge_check(config: RunConfig):
 
     density_diff = float(np.max(np.abs(route_a.density_values()
                                        - route_b.density_values())))
-    overlap = np.vdot(route_a.values, route_b.values)
+    overlap = _dot(route_a.values, route_b.values)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
     wave_diff = float(np.max(np.abs(route_b.values - route_a.values * phase)))
     return {"gauge.csv": {
@@ -712,6 +732,13 @@ def _run_gauge_check(config: RunConfig):
         "wave_sup_diff_aligned": np.array([wave_diff]),
     }}
 
+
+# Work a valid config may ask for; more is refused at validation.  At about
+# 45 ns a node-step (measured on a 2-CPU x86-64 machine), 10^10 node-steps
+# of propagation take some 7 minutes.
+_MAX_NODE_STEPS = 10 ** 10  # n_steps * n_points of tdse-run, gauge-check
+_MAX_DRAWS = 10 ** 11  # trials * (steps + 1) of a seeded experiment
+_MAX_ROWS = 10 ** 6  # tdse-run trace samples; scan points (steps + 1)
 
 # The one experiment-keyed table: handler, seed requirement, parameters.
 _SCHEMAS: Dict[str, Experiment] = {
@@ -726,7 +753,8 @@ _SCHEMAS: Dict[str, Experiment] = {
     "count-maximizer": Experiment(_run_count_maximizer, False, {
         "n_outcomes": Field(int, least=2), "n_total": Field(int, least=1),
         "probs": Field(list, None, items=Field(float, above=0)),
-        "counts": Field(list, None, items=Field(int, least=0))}),
+        "counts": Field(list, None, items=Field(int, least=0,
+                                                most=2 ** 63 - 1))}),
     "tise-solve": Experiment(_run_tise_solve, False, {
         "potential": _POTENTIAL, **_grid_fields(-10.0, 10.0, 1001),
         "n_states": Field(int, 4, least=1)}),

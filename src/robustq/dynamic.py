@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -36,7 +36,7 @@ from scipy.linalg.lapack import zgttrf as _GTTRF, zgttrs as _GTTRS
 from .errors import LinearSolveError, PhaseUndefinedError, StabilityError
 from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, gradient,
                    trapezoid)
-from .stationary import continuum_fisher, madelung_split
+from .stationary import _phase_action, continuum_fisher
 
 MODULUS_FLOOR = 1e-12
 _CHI_STEP = 6e-6  # relative central-difference step for gauge functions
@@ -158,27 +158,6 @@ def observables(psi: WaveField, floor: float = DENSITY_FLOOR) -> Observables:
 # Crank-Nicolson propagation
 # ---------------------------------------------------------------------------
 
-def _step_fields(grid: Grid1D, fields: GaugeField, t: float):
-    """A at the interior link midpoints and V at the interior nodes."""
-    x = grid.nodes()[1:-1]
-    mid = 0.5 * (x[:-1] + x[1:])
-    return fields.a_values(mid, t), fields.v_values(x, t)
-
-
-def _interior_hamiltonian(grid: Grid1D, fields: GaugeField, a: np.ndarray,
-                          v: np.ndarray, mass: float, hbar: float):
-    """Tridiagonal H on interior nodes, (diag, upper, lower) bands, from the
-    link values ``a`` and node values ``v`` of :func:`_step_fields`."""
-    h = grid.spacing
-    kin = hbar ** 2 / (2.0 * mass)
-    coupling = fields.charge / (hbar * fields.light_speed)
-    link_phase = coupling * h * a
-    diag = (2.0 * kin / h ** 2 + v).astype(complex)
-    upper = -(kin / h ** 2) * np.exp(-1j * link_phase)
-    lower = -(kin / h ** 2) * np.exp(+1j * link_phase)
-    return diag, upper, lower
-
-
 class _CNOperator(NamedTuple):
     """One step's Crank-Nicolson operator: the explicit half 1 - rH and
     the implicit half 1 + rH (r = i dt / 2 hbar) as solve_banded's bands,
@@ -193,13 +172,18 @@ class _CNOperator(NamedTuple):
 def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
                  v: np.ndarray, dt: float, mass: float,
                  hbar: float) -> _CNOperator:
-    diag, upper, lower = _interior_hamiltonian(grid, fields, a, v, mass, hbar)
+    """The operator of the tridiagonal H on the interior nodes, from A at
+    the link midpoints (``a``) and V at the nodes (``v``)."""
+    h = grid.spacing
+    kin = hbar ** 2 / (2.0 * mass)
+    link_phase = (fields.charge / (hbar * fields.light_speed)) * h * a
+    diag = (2.0 * kin / h ** 2 + v).astype(complex)
     r = 0.5j * dt / hbar
     n = diag.size
     bands = np.zeros((3, n), dtype=complex)
-    bands[0, 1:] = r * upper
+    bands[0, 1:] = r * (-(kin / h ** 2) * np.exp(-1j * link_phase))
     bands[1, :] = 1.0 + r * diag
-    bands[2, :-1] = r * lower
+    bands[2, :-1] = r * (-(kin / h ** 2) * np.exp(+1j * link_phase))
     lu = None
     if n >= 3:
         # gttrf + gttrs make the same eliminations as solve_banded's gtsv
@@ -217,12 +201,15 @@ def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
              cache: dict) -> np.ndarray:
     """One Crank-Nicolson step of the interior nodes.
 
-    ``cache`` (a dict owned by one propagation) keeps the last operator
-    with the bits of the A and V values it was built from; a step whose
-    values have the same bits reuses it instead of building and factoring
-    it again.  Bits, not values: -0.0 and 0.0 give different phase bytes.
+    ``cache`` is a dict owned by one propagation.  It holds the interior
+    ``nodes`` and the ``links`` midpoints between them, and keeps the last
+    operator with the bits of the A and V values it was built from; a step
+    whose values have the same bits reuses it instead of building and
+    factoring it again.  Bits, not values: -0.0 and 0.0 give different
+    phase bytes.
     """
-    a, v = _step_fields(grid, fields, t_mid)
+    a = fields.a_values(cache["links"], t_mid)
+    v = fields.v_values(cache["nodes"], t_mid)
     bits = (a.tobytes(), v.tobytes())
     if cache.get("bits") == bits:
         op = cache["operator"]
@@ -247,7 +234,8 @@ def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
 def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
               ) -> Tuple[WaveField, ObservableTrace]:
     """Crank-Nicolson run from t = 0 to t_final; returns the final field and
-    the observable trace sampled every ``config.sample_stride`` steps.
+    the observable trace sampled every ``config.sample_stride`` steps and at
+    the last step.
 
     The per-sample residual diagnostic uses the neighbouring fine steps for
     the centred time derivative of the phase, so its accuracy follows dt,
@@ -261,74 +249,45 @@ def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
     """
     if not psi0.grid.compatible_with(config.grid):
         raise ValueError("psi0 must live on the configured grid")
-    if abs(psi0.norm() - 1.0) > 1e-9:
+    norm0 = psi0.norm()
+    if abs(norm0 - 1.0) > 1e-9:
         raise ValueError("psi0 must be normalised")
     grid = config.grid
     n_steps = config.n_steps
-    stride = config.sample_stride
-    norm0 = psi0.norm()
+    x = grid.nodes()[1:-1]
+    cache = {"nodes": x, "links": 0.5 * (x[:-1] + x[1:])}  # see _cn_step
 
-    sample_steps = list(range(0, n_steps + 1, stride))
-    if sample_steps[-1] != n_steps:
-        sample_steps.append(n_steps)
-    sample_set = set(sample_steps)
-
-    times, norms, means, widths, fishers = [], [], [], [], []
-    residuals = []
-    pending: List[Tuple[int, np.ndarray, np.ndarray]] = []
-
-    current = psi0.values.copy()
-    previous = None
-    operator: dict = {}  # the last step's operator; see _cn_step
+    rows = []  # one per sample: the ObservableTrace fields in order
+    previous, current = None, psi0.values
     for step in range(n_steps + 1):
         t = step * config.dt
-        if step in sample_set:
-            field = WaveField(grid, current)
-            obs = observables(field)
+        sampled = step % config.sample_stride == 0 or step == n_steps
+        if sampled:
+            obs = observables(WaveField(grid, current))
             if abs(obs.norm - norm0) > 1e-6:
                 raise StabilityError(f"norm drifted to {obs.norm!r} at t={t!r}")
-            times.append(t)
-            norms.append(obs.norm)
-            means.append(obs.mean_x)
-            widths.append(obs.width)
-            fishers.append(obs.fisher_spatial)
-            residuals.append(np.nan)
-            if 0 < step < n_steps and previous is not None:
-                pending.append((len(residuals) - 1, previous.copy(),
-                                current.copy()))
+            rows.append([t, obs.norm, obs.mean_x, obs.width,
+                         obs.fisher_spatial, np.nan])
         if step == n_steps:
             break
-        t_mid = t + 0.5 * config.dt
         nxt = np.zeros_like(current)
-        nxt[1:-1] = _cn_step(current[1:-1], grid, fields, t_mid, config.dt,
-                             config.mass, config.hbar, operator)
-        for idx, before, at in pending:
-            residuals[idx] = _hje_residual_triplet(
-                grid, before, at, nxt, config.dt, fields, times[idx], config)
-        pending.clear()
-        previous = current
-        current = nxt
+        nxt[1:-1] = _cn_step(current[1:-1], grid, fields, t + 0.5 * config.dt,
+                             config.dt, config.mass, config.hbar, cache)
+        if sampled and step > 0:
+            rows[-1][-1] = _hje_residual_triplet(
+                grid, previous, current, nxt, config.dt, fields, t, config)
+        previous, current = current, nxt
 
     final = WaveField(grid, current,
                       normalized=abs(grid.spacing
                                      * float((np.abs(current) ** 2).sum())
                                      - 1.0) <= 1e-10)
-    trace = ObservableTrace(times=np.array(times), norm=np.array(norms),
-                            mean_x=np.array(means), width=np.array(widths),
-                            fisher_spatial=np.array(fishers),
-                            hje_residual=np.array(residuals))
-    return final, trace
+    return final, ObservableTrace(*np.array(rows).T)
 
 
 # ---------------------------------------------------------------------------
 # averaged Hamilton-Jacobi residual
 # ---------------------------------------------------------------------------
-
-def _split_action(values: np.ndarray, grid: Grid1D, lam: float) -> np.ndarray:
-    _, action = madelung_split(WaveField(grid, values), lam=lam,
-                               floor=MODULUS_FLOOR)
-    return action.values
-
 
 def _reconcile_winding(action: np.ndarray, reference: np.ndarray,
                        ref_node: int, lam: float) -> np.ndarray:
@@ -349,12 +308,11 @@ def _hje_residual_triplet(grid: Grid1D, psi_before: np.ndarray,
     h = grid.spacing
     x = grid.nodes()
     p = np.abs(psi_at) ** 2
-    s_mid = _split_action(psi_at, grid, lam)
+    s_before, s_mid, s_after = (_phase_action(psi, lam, MODULUS_FLOOR)
+                                for psi in (psi_before, psi_at, psi_after))
     ref = int(np.argmax(np.where(np.isfinite(s_mid), p, -1.0)))
-    s_before = _reconcile_winding(_split_action(psi_before, grid, lam),
-                                  s_mid, ref, lam)
-    s_after = _reconcile_winding(_split_action(psi_after, grid, lam),
-                                 s_mid, ref, lam)
+    s_before = _reconcile_winding(s_before, s_mid, ref, lam)
+    s_after = _reconcile_winding(s_after, s_mid, ref, lam)
     ds_dt = (s_after - s_before) / (2.0 * dt)
     ds_dx = gradient(np.where(np.isfinite(s_mid), s_mid, 0.0), h)
     defined = (np.isfinite(s_mid) & np.isfinite(ds_dt))
@@ -380,6 +338,20 @@ def avg_hje_residual(snapshots: Sequence[WaveField], times: Sequence[float],
     derivative is a centred difference between neighbouring snapshots with
     whole-winding reconciliation at the density maximum.
     """
+    times, dt = _snapshot_times(snapshots, times)
+    grid = snapshots[0].grid
+    out = np.full(len(snapshots), np.nan)
+    for k in range(1, len(snapshots) - 1):
+        out[k] = _hje_residual_triplet(
+            grid, snapshots[k - 1].values, snapshots[k].values,
+            snapshots[k + 1].values, dt, fields, float(times[k]), config)
+    return out
+
+
+def _snapshot_times(snapshots: Sequence[WaveField], times: Sequence[float]
+                    ) -> Tuple[np.ndarray, float]:
+    """``times`` as an array, and their common step; at least three
+    snapshots, one time each, uniformly spaced."""
     if len(snapshots) < 3:
         raise ValueError("need at least three snapshots")
     times = np.asarray(times, dtype=float)
@@ -388,14 +360,7 @@ def avg_hje_residual(snapshots: Sequence[WaveField], times: Sequence[float],
     steps = np.diff(times)
     if np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-30)):
         raise ValueError("snapshots must be uniformly spaced in time")
-    grid = snapshots[0].grid
-    out = np.full(len(snapshots), np.nan)
-    for k in range(1, len(snapshots) - 1):
-        out[k] = _hje_residual_triplet(
-            grid, snapshots[k - 1].values, snapshots[k].values,
-            snapshots[k + 1].values, float(steps[0]), fields,
-            float(times[k]), config)
-    return out
+    return times, float(steps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +428,7 @@ def dynamic_wave_functional(snapshots: Sequence[WaveField],
     Time derivatives are centred between snapshots, so the time quadrature
     runs over the interior snapshots.
     """
-    if len(snapshots) < 3:
-        raise ValueError("need at least three snapshots")
-    times = np.asarray(times, dtype=float)
-    steps = np.diff(times)
-    if np.any(np.abs(steps - steps[0]) > 1e-9 * max(abs(steps[0]), 1e-30)):
-        raise ValueError("snapshots must be uniformly spaced in time")
-    dt = float(steps[0])
+    times, dt = _snapshot_times(snapshots, times)
     grid = snapshots[0].grid
     x = grid.nodes()
     h = grid.spacing
@@ -477,29 +436,21 @@ def dynamic_wave_functional(snapshots: Sequence[WaveField],
     m = config.mass
     gauge_coupling = fields.charge * math.sqrt(lam) / (2.0 * fields.light_speed)
 
-    time_rows, grad_rows, pot_rows = [], [], []
+    rows = []  # per interior snapshot: time, gradient and potential terms
     for k in range(1, len(snapshots) - 1):
         psi = snapshots[k].values
         dpsi_dt = (snapshots[k + 1].values - snapshots[k - 1].values) / (2 * dt)
-        dpsi_dx = gradient(psi, h)
         t = float(times[k])
-        a = fields.a_values(x, t)
-        v = fields.v_values(x, t)
-        covariant = dpsi_dx - 1j * gauge_coupling * a * psi
+        covariant = (gradient(psi, h)
+                     - 1j * gauge_coupling * fields.a_values(x, t) * psi)
         time_term = (1j * m * math.sqrt(lam)
                      * (psi * np.conj(dpsi_dt) - np.conj(psi) * dpsi_dt)).real
-        grad_term = 2.0 * np.abs(covariant) ** 2
-        pot_term = m * lam * v * np.abs(psi) ** 2
-        time_rows.append(trapezoid(time_term, h))
-        grad_rows.append(trapezoid(grad_term, h))
-        pot_rows.append(trapezoid(pot_term, h))
-
-    def time_integral(rows):
-        return 2.0 * trapezoid(np.asarray(rows), dt)
-
-    t_term = time_integral(time_rows)
-    g_term = time_integral(grad_rows)
-    p_term = time_integral(pot_rows)
+        rows.append([trapezoid(time_term, h),
+                     trapezoid(2.0 * np.abs(covariant) ** 2, h),
+                     trapezoid(m * lam * fields.v_values(x, t)
+                               * np.abs(psi) ** 2, h)])
+    t_term, g_term, p_term = (2.0 * trapezoid(column, dt)
+                              for column in np.array(rows).T)
     total = t_term + g_term + p_term
     if return_terms:
         return DynamicFormBreakdown(total=total, time_term=t_term,

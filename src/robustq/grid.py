@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DENSITY_FLOOR = 1e-12
+_DOT_SLICE = 8192  # below the length at which OpenBLAS threads a dot
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +164,16 @@ def gradient_adjoint(weights: np.ndarray, spacing: float) -> np.ndarray:
     r[..., 0] = -(u[..., 0] + u[..., 1])
     r[..., -1] = u[..., -2] + u[..., -1]
     return r
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """``np.vdot`` of 1-D arrays as the in-order sum over fixed slices, each
+    one single-threaded BLAS call: the same bytes at any BLAS thread count,
+    and those of one ``np.vdot`` up to ``_DOT_SLICE`` elements."""
+    if a.size <= _DOT_SLICE:
+        return np.vdot(a, b)
+    return sum(np.vdot(a[i:i + _DOT_SLICE], b[i:i + _DOT_SLICE])
+               for i in range(0, a.size, _DOT_SLICE))
 
 
 def trapezoid(values: np.ndarray, spacing: float) -> float:

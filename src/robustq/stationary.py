@@ -36,8 +36,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
-from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, gradient,
-                   gradient_adjoint, trapezoid, trapezoid_weights)
+from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, _dot,
+                   gradient, gradient_adjoint, trapezoid, trapezoid_weights)
 
 DEFAULT_HBAR = 1.0
 DEFAULT_MASS = 1.0
@@ -199,15 +199,21 @@ def madelung_split(psi: WaveField, lam: float = 4.0,
     """
     if abs(psi.norm() - 1.0) > 1e-10:
         raise ValueError("madelung_split needs a normalised wave field")
-    mod = np.abs(psi.values)
-    p = mod ** 2
-    action = np.full(psi.grid.n_points, np.nan)
-    defined = np.where(mod >= floor)[0]
-    if defined.size:
-        phases = np.unwrap(np.angle(psi.values[defined]))
+    action = _phase_action(psi.values, lam, floor)
+    return (ScalarField(psi.grid, np.abs(psi.values) ** 2, kind="density"),
+            ScalarField(psi.grid, action, kind="action"))
+
+
+def _phase_action(values: np.ndarray, lam: float, floor: float) -> np.ndarray:
+    """The action (2/sqrt(lambda)) arg psi of the node values ``values``,
+    unwrapped left to right over the nodes with modulus >= ``floor`` and
+    NaN at the others; any norm will do."""
+    action = np.full(values.shape, np.nan)
+    defined = np.abs(values) >= floor
+    if defined.any():
+        phases = np.unwrap(np.angle(values[defined]))
         action[defined] = (2.0 / math.sqrt(lam)) * phases
-    density = ScalarField(psi.grid, p, kind="density")
-    return density, ScalarField(psi.grid, action, kind="action")
+    return action
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +258,14 @@ def solve_eigen(problem: StationaryProblem, grid: Grid1D,
 
 
 def _fix_sign(values: np.ndarray) -> np.ndarray:
-    """Flip sign so the first interior antinode (local max of |psi|) is > 0."""
+    """Flip sign so the first interior antinode (local max of |psi| above
+    1e-8 of the peak; the peak itself if none) is > 0."""
     mag = np.abs(values)
-    peak = float(mag.max())
-    idx = int(np.argmax(mag))
-    for i in range(1, values.size - 1):
-        if mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1] and mag[i] > 1e-8 * peak:
-            idx = i
-            break
+    inner = mag[1:-1]
+    antinode = ((inner >= mag[:-2]) & (inner >= mag[2:])
+                & (inner > 1e-8 * mag.max()))
+    first = int(np.argmax(antinode))
+    idx = first + 1 if antinode[first] else int(np.argmax(mag))
     return -values if values[idx] < 0 else values
 
 
@@ -307,7 +313,7 @@ def _discrete_objective_and_gradient(p, s, v, energy, mass, lam, h, w, floor):
     # P'/P, zero at the nodes below the floor (they drop out of 1/P terms)
     log_slope = np.where(mask, gp, 0.0) / np.where(mask, p, 1.0)
     coeff = gs * gs + 2.0 * mass * (v - energy)
-    value = float(w @ (gp * log_slope + lam * coeff * p))
+    value = float(_dot(w, gp * log_slope + lam * coeff * p))
     back_p, grad_s = gradient_adjoint(
         np.array((2.0 * w * log_slope, (2.0 * lam) * w * gs * p)), h)
     grad_p = back_p + w * (lam * coeff - log_slope * log_slope)
@@ -334,16 +340,16 @@ def _lbfgs_direction(grad, pairs):
     gamma = (step . change) / (change . change) of the newest pair.
     """
     _, dy, rho = pairs[-1]
-    gamma = 1.0 / (rho * float(dy @ dy))
+    gamma = 1.0 / (rho * float(_dot(dy, dy)))
     q = -grad
     alphas = []
     for ds, dy, rho in reversed(pairs):
-        a = rho * float(ds @ q)
+        a = rho * float(_dot(ds, q))
         q -= a * dy
         alphas.append(a)
     q *= gamma
     for (ds, dy, rho), a in zip(pairs, reversed(alphas)):
-        q += (a - rho * float(dy @ q)) * ds
+        q += (a - rho * float(_dot(dy, q))) * ds
     return q
 
 
@@ -424,7 +430,7 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         found = None
         if pairs:
             direction = _lbfgs_direction(grad, pairs)
-            if float(direction @ grad) < 0:
+            if float(_dot(direction, grad)) < 0:
                 found = descend(x, value, direction)
         if found is None:
             pairs.clear()
@@ -435,10 +441,10 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         x_new, value_new, grad_new = found
         ds = x_new - x
         dy = grad_new - grad
-        curvature = float(ds @ dy)
+        curvature = float(_dot(ds, dy))
         if curvature > 0 and math.isfinite(curvature):
             pairs.append((ds, dy, 1.0 / curvature))
-            alpha = min(max(float(ds @ ds) / curvature, 1e-12), 1e3)
+            alpha = min(max(float(_dot(ds, ds)) / curvature, 1e-12), 1e3)
         decrease = value - value_new
         x, value, grad = x_new, value_new, grad_new
         history.append(value)

@@ -2,6 +2,7 @@
 reproducibility, and exit codes."""
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -262,6 +263,22 @@ class TestRun:
         summary = dict(zip(rows[0].split(","), rows[1].split(",")))
         assert summary["n_maximizers"] == "1000"
 
+    def test_count_maximizer_composition_count_past_str_limit(self, tmp_path):
+        # one maximiser; C(32999, 2999) has more digits than str(int) allows
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "experiment": "count-maximizer",
+            "parameters": {"n_outcomes": 3000, "n_total": 30000,
+                           "probs": [1 / 3000] * 3000}}))
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "summary.csv").read_text().split("\n")
+        summary = dict(zip(rows[0].split(","), rows[1].split(",")))
+        field = summary["n_compositions"]
+        assert field.isdigit()
+        assert len(field) > sys.int_info.default_max_str_digits
+        assert int(decimal.Decimal(field)) == math.comb(32999, 2999)
+
     def test_manifest_written_and_complete(self, tmp_path):
         raw = minimal_simulate_config()
         run(raw, output_dir=str(tmp_path))
@@ -317,12 +334,15 @@ class TestMainExitCodes:
         assert manifest["status"] == "error"
         assert manifest["error"] == "ResourceError"
 
-    def test_run_unexpected_failure_is_3(self, tmp_path):
-        # 1e16 steps: the propagator's list of 1e15 sample steps needs 8 PB,
-        # so it raises MemoryError at once, whatever the overcommit policy
+    def test_run_unexpected_failure_is_3(self, tmp_path, monkeypatch):
+        # an exception that is not the library's reaches the last resort
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(robustq.dynamic, "propagate", exhausted)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiment": "tdse-run",
-                                    "parameters": {"t_final": 1e13}}))
+                                    "parameters": {"t_final": 0.01}}))
         out = tmp_path / "out"
         assert main(["run", "--config", str(path),
                      "--output-dir", str(out)]) == 3
@@ -483,20 +503,26 @@ class TestThreadCap:
 
 
 class TestBlasThreads:
-    """Propagation calls LAPACK's tridiagonal LU directly; its bytes must
-    not depend on the BLAS thread count."""
+    """CSV bytes must not depend on the BLAS thread count.  Propagation
+    calls LAPACK's tridiagonal LU directly; the minimiser's L-BFGS vectors
+    (2 × 5,001 elements) and gauge-check's overlap (24,001) are longer than
+    the 10,000 elements up to which OpenBLAS dots on one thread."""
 
     CONFIGS = [
         {"experiment": "tdse-run",
          "parameters": {"n_points": 2001, "t_final": 0.02}},
         {"experiment": "gauge-check"},
+        {"experiment": "tise-minimize",
+         "parameters": {"n_points": 5001, "max_iter": 300}},
+        {"experiment": "gauge-check",
+         "parameters": {"n_points": 24001, "t_final": 0.02}},
     ]
     SCRIPT = ("import json, os, sys\n"
               "from robustq.cli import run\n"
               "for i, raw in enumerate(json.loads(sys.argv[1])):\n"
               "    run(raw, output_dir=os.path.join(sys.argv[2], str(i)))\n")
 
-    def test_propagation_bytes_independent_of_blas_threads(self, tmp_path):
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
         src = os.path.dirname(os.path.dirname(robustq.__file__))
         outputs = []
         for threads in ("1", "2"):
@@ -509,7 +535,8 @@ class TestBlasThreads:
                            env=env, check=True, timeout=600)
             outputs.append({p.relative_to(out): p.read_bytes()
                             for p in sorted(out.rglob("*.csv"))})
-        assert len(outputs[0]) == 3  # trace, final_state, gauge
+        # trace, final_state, gauge, fields, summary, gauge
+        assert len(outputs[0]) == 6
         assert outputs[0] == outputs[1]
 
 
@@ -581,6 +608,17 @@ class TestRangeChecks:
          "parameters.theta"),
         ("count-maximizer", {"n_outcomes": 2, "n_total": 3,
                              "probs": [1.5, 0.5]}, "parameters.probs"),
+        ("count-maximizer", {"n_outcomes": 2, "n_total": 2 ** 63 + 1,
+                             "counts": [2 ** 63, 1]}, "parameters.counts[0]"),
+        # budgets: node-steps, draws, rows
+        ("tdse-run", {"t_final": 1e13}, "parameters.t_final"),
+        ("gauge-check", {"t_final": 5000}, "parameters.t_final"),
+        ("eprb-scan", {"trials": 10 ** 9, "steps": 100}, "parameters.trials"),
+        ("eprb-simulate", {"theta": 1.0, "trials": 10 ** 11 + 1},
+         "parameters.trials"),
+        ("tdse-run", {"t_final": 1e4, "n_points": 3, "sample_stride": 1},
+         "parameters.sample_stride"),
+        ("sg-scan", {"trials": 1, "steps": 10 ** 6}, "parameters.steps"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)
@@ -601,3 +639,17 @@ class TestRangeChecks:
             "experiment": "tise-minimize",
             "parameters": {"n_points": 3, "max_iter": 1, "tol": 0.0}})
         assert config.parameters["n_points"] == 3
+
+    @pytest.mark.parametrize("experiment,params", [
+        ("tdse-run", {"dt": 1.0, "t_final": 10 ** 6 - 1, "n_points": 3,
+                      "sample_stride": 1}),  # 10^6 trace rows
+        ("gauge-check", {"dt": 1.0, "t_final": 10 ** 6, "n_points": 10 ** 4}),
+        ("eprb-scan", {"trials": 10 ** 11, "steps": 0}),
+        ("sg-scan", {"trials": 10 ** 5, "steps": 10 ** 6 - 1}),
+        ("count-maximizer", {"n_outcomes": 2, "n_total": 2 ** 63,
+                             "counts": [2 ** 63 - 1, 1]}),
+    ], ids=["rows", "node-steps", "draws", "scan-rows", "counts"])
+    def test_budgets_and_counts_accepted_at_the_bound(self, experiment,
+                                                      params):
+        validate_config({"experiment": experiment, "seed": 1,
+                         "parameters": params})

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from robustq import (GaugeField, Grid1D, PropagatorConfig, ScalarField,
-                     StationaryProblem, avg_hje_residual, dynamic,
+                     StationaryProblem, WaveField, avg_hje_residual, dynamic,
                      dynamic_wave_functional, gauge_transform,
                      normalized_wave, observables, propagate, solve_eigen)
 from robustq.errors import LinearSolveError
@@ -196,6 +196,19 @@ class TestAveragedHjeResidual:
         np.testing.assert_allclose(series[1:-1], trace.hje_residual[1:-1],
                                    rtol=2e-7)
 
+    def test_residual_of_slightly_unnormalised_snapshots(self):
+        # a norm 1e-9 off unity, well inside propagate's 1e-6 drift abort
+        grid = Grid1D.from_interval(-15, 15, 1001)
+        fields = GaugeField.free()
+        config = PropagatorConfig(grid=grid, dt=1e-3, t_final=1e-3,
+                                  sample_stride=1)
+        snapshots = [packet(grid, k0=0.5)]
+        for _ in range(2):
+            snapshots.append(propagate(snapshots[-1], fields, config)[0])
+        scaled = [WaveField(grid, (1 + 5e-10) * s.values) for s in snapshots]
+        series = avg_hje_residual(scaled, [0.0, 1e-3, 2e-3], fields, config)
+        assert np.isfinite(series[1])
+
     def test_planck_scaling_of_residual(self):
         # shrink hbar tenfold while keeping the ground density fixed by
         # scaling the trap frequency: the residual must shrink a hundredfold
@@ -265,6 +278,15 @@ class TestDynamicWaveFunctional:
             value = dynamic_wave_functional(perturbed, times, fields, config)
             deltas.append(abs(value - base))
         assert 3.0 <= deltas[0] / deltas[1] <= 5.0
+
+    @pytest.mark.parametrize("n_times", [3, 7])
+    def test_times_must_align_with_snapshots(self, n_times):
+        grid = Grid1D.from_interval(-8, 8, 201)
+        snaps = [packet(grid)] * 5
+        config = PropagatorConfig(grid=grid, dt=0.01, t_final=0.04)
+        with pytest.raises(ValueError, match="align"):
+            dynamic_wave_functional(snaps, 0.01 * np.arange(n_times),
+                                    GaugeField.free(), config)
 
     def test_gauge_invariance_of_quadrature(self):
         # analytic snapshots on a fine grid; the integrand is pointwise

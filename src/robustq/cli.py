@@ -8,7 +8,7 @@ Exit status: 0 success, 2 config validation failure, 3 any other failure
 (the exception's class name lands in the manifest).  Stochastic experiments
 require an explicit seed; identical (config, version) pairs produce
 byte-identical CSV output.  The environment variable ROBUSTQ_THREADS caps
-the worker count for parameter scans.
+the worker count for parameter scans, which never exceeds the CPU count.
 """
 
 from __future__ import annotations
@@ -416,11 +416,13 @@ def _sha256_file(path: str) -> str:
 
 
 def _worker_cap() -> int:
+    """Scan workers: ROBUSTQ_THREADS if set, never more than the CPUs."""
+    cpus = max(1, os.cpu_count() or 1)
     raw = os.environ.get(THREADS_ENV)
     if not raw:
-        return max(1, os.cpu_count() or 1)
+        return cpus
     try:
-        return max(1, int(raw))
+        return min(cpus, max(1, int(raw)))
     except ValueError:
         return 1
 
@@ -464,6 +466,8 @@ def build_initial(spec: dict, grid: Grid1D) -> WaveField:
     x = grid.nodes()
     packet = np.exp(-(x - x0) ** 2 / (4.0 * sigma ** 2)) \
         * np.exp(1j * k0 * x)
+    # the Dirichlet walls hold zero, so the norm counts no mass there
+    packet[0] = packet[-1] = 0.0
     return normalized_wave(grid, packet)
 
 

@@ -12,6 +12,9 @@ The outcome tally takes one table or a (P, m) stack of tables, where table
 ``k`` owns trials [first_trial + k*n, first_trial + (k+1)*n).  It walks that
 trial range once, in chunks of ``CHUNK_SIZE`` words aligned to absolute
 trial indices, so it holds one chunk of words at a time, never P*n of them.
+A chunk inside one table is counted with one compare per cut point; a chunk
+that covers several tables is counted with one vectorised pass per cut
+point over all of them.
 """
 
 from __future__ import annotations
@@ -124,21 +127,28 @@ def sample_outcome_counts(probs, n_trials: int, seed: int,
     Outcome ``j`` owns the subinterval [cum_{j-1}, cum_j) of [0, 1); a trial's
     uniform picks the owner.  Zero-probability outcomes own empty intervals
     and are never drawn.  The tally walks the trial range once, in chunks
-    of ``CHUNK_SIZE`` trials aligned to absolute trial indices.  For each
-    table whose segment a chunk covers, it counts u < cum_j over that
-    segment for each inner cut point, and takes differences at the end:
+    of ``CHUNK_SIZE`` trials aligned to absolute trial indices, and counts
+    u < cum_j for each inner cut point j.  A chunk inside one table takes
+    one count_nonzero per cut point.  A chunk that covers several tables
+    takes one pass per cut point: it repeats each covered table's cum_j
+    over that table's segment, compares the whole chunk once, and sums
+    each segment's hits with add.reduceat.  Differences at the end give
     the same counts as searchsorted(side="right") and bincount, without
-    either.
+    either.  The whole span is checked against the end of the keystream
+    before any word is drawn.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
         raise ValueError("probs must be a nonempty table or (P, m) stack")
-    first_trial, n_trials = _trial_range(first_trial, n_trials)
+    tables = p.reshape(-1, p.shape[-1])
+    n_trials = operator.index(n_trials)
+    # the whole stacked span, checked before any word is drawn
+    first_trial, total = _trial_range(first_trial,
+                                      tables.shape[0] * n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    tables = p.reshape(-1, p.shape[-1])
     cum = np.cumsum(tables, axis=1)
     if not np.all(np.abs(cum[:, -1] - 1.0) <= 1e-9):
         raise ValueError("probabilities must sum to 1")
@@ -146,17 +156,24 @@ def sample_outcome_counts(probs, n_trials: int, seed: int,
     # cum[k, j]; the last outcome takes the rest, so the top edge is never
     # compared
     below = np.zeros((tables.shape[0], tables.shape[1] - 1), dtype=np.int64)
-    for start, take in _spans(first_trial, tables.shape[0] * n_trials,
-                              CHUNK_SIZE):
+    for start, take in _spans(first_trial, total, CHUNK_SIZE):
         u = uniforms(seed, start, take)
-        first = (start - first_trial) // n_trials
-        last = (start + take - 1 - first_trial) // n_trials + 1
-        counted = []
-        for k, cuts in enumerate(cum[first:last, :-1].tolist(), first):
-            lo = first_trial + k * n_trials - start
-            seg = u[max(lo, 0):lo + n_trials]
-            counted.append([np.count_nonzero(seg < c) for c in cuts])
-        below[first:last] += np.array(counted, dtype=np.int64)
-        del u, seg  # free this chunk's uniforms before the next is made
+        offset = start - first_trial
+        first = offset // n_trials
+        # offsets in this chunk where tables after ``first`` start; Python
+        # ints, so a huge first_trial or n_trials cannot overflow them
+        starts = range((first + 1) * n_trials - offset, take, n_trials)
+        if not starts:
+            for j, c in enumerate(cum[first, :-1].tolist()):
+                below[first, j] += np.count_nonzero(u < c)
+        else:
+            edges = np.array([0, *starts])
+            rows = slice(first, first + edges.size)
+            sizes = np.diff(edges, append=take)
+            for j in range(below.shape[1]):
+                hit = u < np.repeat(cum[rows, j], sizes)
+                # a chunk's count fits int32, which sums faster than int64
+                below[rows, j] += np.add.reduceat(hit, edges, dtype=np.int32)
+        del u  # free this chunk's uniforms before the next is made
     counts = np.diff(below, axis=1, prepend=0, append=n_trials)
     return counts if p.ndim == 2 else counts[0]

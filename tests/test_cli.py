@@ -1,6 +1,7 @@
 """CLI verification: config validation, CSV contract, dispatch, manifest
 reproducibility, and exit codes."""
 
+import concurrent.futures
 import contextlib
 import decimal
 import io
@@ -484,10 +485,12 @@ class TestThreadCap:
     trials per point make points straddle keystream block boundaries, and
     steps 0 and 2 give fewer points than workers.  1,000 trials at 300
     steps put about 65 points in one keystream block, and points straddle
-    the tally's chunk boundaries."""
+    the tally's chunk boundaries.  The worker count never exceeds the CPU
+    count, so these tests fake four CPUs."""
 
     def test_scan_output_independent_of_worker_count(self, tmp_path,
                                                      monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for experiment in ("eprb-scan", "sg-scan"):
             for steps, trials in ((0, 70000), (2, 70000), (8, 70000),
                                   (300, 1000)):
@@ -500,6 +503,53 @@ class TestThreadCap:
                     run(raw, output_dir=str(out))
                     outputs.add((out / "scan.csv").read_bytes())
                 assert len(outputs) == 1, (experiment, steps)
+
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # a serial stand-in for the pool records the worker count and
+        # starts no thread
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            SerialPool)
+        monkeypatch.setenv("ROBUSTQ_THREADS", "100000")
+        assert robustq.cli._worker_cap() == 2
+        run({"experiment": "eprb-scan", "seed": 3,
+             "parameters": {"steps": 9, "trials": 10}},
+            output_dir=str(tmp_path / "out"))
+        assert workers == [2]
+        monkeypatch.setenv("ROBUSTQ_THREADS", "1")
+        assert robustq.cli._worker_cap() == 1
+
+
+class TestInitialState:
+    def test_packet_at_the_walls_keeps_its_norm(self, tmp_path):
+        # at +-3 the Gaussian is far from zero on the Dirichlet walls; the
+        # first step zeroes them, so it must not start with mass there
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "experiment": "tdse-run",
+            "parameters": {"x_min": -3.0, "x_max": 3.0, "t_final": 0.01}}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(out)]) == 0
+        norms = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1,
+                           usecols=1)
+        assert norms.size >= 2
+        assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 class TestBlasThreads:

@@ -93,6 +93,30 @@ class TestTrialIndices:
             rng.sample_outcome_counts([[0.5, 0.5]] * 2, 10, 7,
                                       first_trial=end - 15)
 
+    def test_stack_ending_at_the_keystream_end(self):
+        # 40 tables of 3 trials fill the end of the keystream's last chunk,
+        # so table boundaries fall inside it and their offsets are counted
+        # relative to a start near 2**208
+        end = B << 192
+        probs = np.random.default_rng(3).dirichlet(np.ones(4), size=40)
+        with mock.patch("numpy.repeat", wraps=np.repeat) as repeat:
+            counts = rng.sample_outcome_counts(probs, 3, 7,
+                                               first_trial=end - 120)
+        assert repeat.called  # the multi-table count
+        for k, row in enumerate(probs):
+            assert np.array_equal(counts[k], rng.sample_outcome_counts(
+                row, 3, 7, first_trial=end - 120 + 3 * k))
+
+    def test_stack_past_the_keystream_end_draws_no_word(self):
+        # the first table fits; the stacked span does not
+        end = B << 192
+        with mock.patch.object(rng, "_block_words",
+                               wraps=rng._block_words) as block_words:
+            with pytest.raises(ValueError):
+                rng.sample_outcome_counts(np.tile([0.5, 0.5], (40, 1)), 3,
+                                          7, first_trial=end - 119)
+        assert block_words.call_count == 0
+
     def test_non_integer_indices_rejected(self):
         with pytest.raises(TypeError):
             rng.uniforms(7, 1.0, 3)
@@ -153,7 +177,9 @@ def stack_rows(m):
 @st.composite
 def stacks(draw):
     m = draw(st.integers(1, 5))
-    n = draw(st.sampled_from([1, 3, 1000, C - 1, C + 1, B - 1, B + 1]))
+    # n = 2 and C // 4 put table boundaries on chunk starts and ends
+    n = draw(st.sampled_from([1, 2, 3, 1000, C // 4, C - 1, C + 1, B - 1,
+                              B + 1]))
     # keep P * n near a few blocks so the oracle stays cheap
     P = min(draw(st.integers(1, 70)), max(1, 3 * B // n))
     return np.array(draw(st.lists(stack_rows(m), min_size=P, max_size=P))), n
@@ -190,6 +216,14 @@ class TestStackedTally:
                                               first_trial=C - 2)[0])
         assert np.array_equal(single,
                               reference_counts(probs, B + 3, 9, C - 2))
+
+    def test_one_outcome_stack(self):
+        # no cut points: each chunk covers several tables and compares
+        # nothing
+        counts = rng.sample_outcome_counts(np.ones((40, 1)), 1000, 9,
+                                           first_trial=C - 1500)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.full((40, 1), 1000))
 
     @pytest.mark.parametrize("probs", [
         [[0.5, 0.5], [0.5, 0.6]],          # a row not summing to 1

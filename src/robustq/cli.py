@@ -5,7 +5,8 @@ Usage:
     robustq validate --config cfg.json
 
 Exit status: 0 success, 2 config validation failure, 3 any other failure
-(the exception's class name lands in the manifest).  Stochastic experiments
+(the exception's class name lands in the manifest, or on stderr when the
+output directory cannot hold one).  Stochastic experiments
 require an explicit seed; identical (config, version) pairs produce
 byte-identical CSV output.  The environment variable ROBUSTQ_THREADS caps
 the worker count for parameter scans, which never exceeds the CPU count.
@@ -789,9 +790,10 @@ def _now() -> str:
 def run(raw_config: dict, output_dir: Optional[str] = None) -> RunManifest:
     """Validate, dispatch, write CSV outputs and the manifest atomically.
 
-    A config fault raises ConfigError before anything is written.  Any
-    other failure is recorded in the manifest: status "error" and the
-    exception's class name.
+    A config fault raises ConfigError before anything is written.  An
+    output directory that cannot be made, or a manifest that cannot be
+    written, raises OSError.  Any other failure is recorded in the
+    manifest: status "error" and the exception's class name.
     """
     config = validate_config(raw_config)
     out_dir = output_dir or config.output_dir
@@ -849,6 +851,9 @@ def main(argv=None) -> int:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
         return 2
+    except OSError as exc:  # the output directory or manifest is unwritable
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if manifest.status != "ok":
         print(f"run failed: {manifest.error}", file=sys.stderr)
         return 3

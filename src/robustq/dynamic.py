@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import zgttrf as _GTTRF, zgttrs as _GTTRS
 
 from .errors import LinearSolveError, PhaseUndefinedError, StabilityError
 from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, gradient,
@@ -190,7 +188,8 @@ def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
         if not np.all(np.isfinite(bands.view(float))):
             raise LinearSolveError("tridiagonal solve failed: array must "
                                    "not contain infs or NaNs")
-        *lu, info = _GTTRF(bands[2, :-1], bands[1], bands[0, 1:])
+        from scipy.linalg.lapack import zgttrf  # at the call, as in solve_eigen
+        *lu, info = zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
         if info != 0:  # an exact zero pivot
             raise LinearSolveError("tridiagonal solve failed: singular matrix")
     return _CNOperator(1.0 - r * diag, bands, lu)
@@ -221,9 +220,11 @@ def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
     rhs[1:] -= op.bands[2, :-1] * interior[:-1]
     try:
         if op.lu is None:
-            out = scipy.linalg.solve_banded((1, 1), op.bands, rhs)
+            from scipy.linalg import solve_banded
+            out = solve_banded((1, 1), op.bands, rhs)
         else:
-            out, _ = _GTTRS(*op.lu, rhs, overwrite_b=True)
+            from scipy.linalg.lapack import zgttrs
+            out, _ = zgttrs(*op.lu, rhs, overwrite_b=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveError(f"tridiagonal solve failed: {exc}") from exc
     if not np.all(np.isfinite(out.view(float))):

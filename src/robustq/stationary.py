@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, _dot,
@@ -240,10 +239,16 @@ def solve_eigen(problem: StationaryProblem, grid: Grid1D,
     coeff = 2.0 / (problem.mass * problem.lam)
     diag = 2.0 * coeff / h ** 2 + problem.potential.values[1:-1]
     off = np.full(n - 3, -coeff / h ** 2)
+    # Imported at the call, not with the module: only the grid solvers use
+    # scipy, and loading it costs a process about 0.27 s and 24 MB.  Loading
+    # it earlier in a grid run, at the top of cli.run, left the grid
+    # benchmark's peak RSS no tighter: that spread comes from how the heap
+    # fragments around the large outputs the benchmark keeps (CHANGES.md).
+    from scipy.linalg import eigh_tridiagonal
     try:
-        energies, vectors = scipy.linalg.eigh_tridiagonal(
+        energies, vectors = eigh_tridiagonal(
             diag, off, select="i", select_range=(0, n_states - 1))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
 
     states = []

@@ -352,6 +352,27 @@ class TestMainExitCodes:
         assert manifest["error"] == "MemoryError"
         assert manifest["output_files"] == []
 
+    @pytest.mark.parametrize("below", [False, True],
+                             ids=["is-a-file", "under-a-file"])
+    @pytest.mark.parametrize("spelling", ["flag", "config"])
+    def test_unusable_output_dir_is_3(self, spelling, below, tmp_path,
+                                      capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("kept")
+        target = str(blocker / "out" if below else blocker)
+        raw = minimal_simulate_config()
+        argv = ["run", "--config", str(tmp_path / "cfg.json")]
+        if spelling == "flag":
+            argv += ["--output-dir", target]
+        else:
+            raw["output_dir"] = target
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "kept"
+
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["validate", "--config",
                      str(tmp_path / "missing.json")]) == 2

@@ -11,13 +11,22 @@ over [-1.3, 7.0].  tise-minimize is left out: its
 iteration count may change legitimately, so the benchmark holds it to
 gates instead of digests.  The recorded bytes were the same with
 OPENBLAS_NUM_THREADS and ROBUSTQ_THREADS both set to 1 and both set to 2.
+
+The last tests run fresh interpreters: only the grid experiments load
+scipy, and the grid solvers write the same bytes when they are the first
+code of their process to load it.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import robustq
 import test_cli
 from robustq.cli import run
 
@@ -188,3 +197,100 @@ def digests_of(name, out_dir):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_csv_bytes_match_pinned_digests(name, tmp_path):
     assert digests_of(name, tmp_path) == DIGESTS[name]
+
+
+GRID_EXPERIMENTS = ("tise-solve", "tise-minimize", "tdse-run", "gauge-check")
+# Validates every config given, runs the named ones in order and prints
+# whether scipy was loaded after each stage, and the digests written.
+SCIPY_FREE_SCRIPT = """\
+import json, os, sys
+import robustq
+import robustq.cli as cli
+configs, order, out = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+loaded = {"import": "scipy" in sys.modules}
+for raw in configs.values():
+    cli.validate_config(raw)
+loaded["validate"] = "scipy" in sys.modules
+digests = {}
+for name in order:
+    manifest = cli.run(configs[name], output_dir=os.path.join(out, name))
+    digests[name] = {e["name"]: e["sha256"] for e in manifest.output_files}
+    loaded[name] = "scipy" in sys.modules
+print(json.dumps({"loaded": loaded, "digests": digests}))
+"""
+
+
+def fresh_interpreter(code, *args):
+    """Standard output of ``code`` run by a new interpreter on this
+    checkout's sources."""
+    src = os.path.dirname(os.path.dirname(robustq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True,
+                          timeout=300).stdout
+
+
+def test_only_grid_experiments_load_scipy(tmp_path):
+    configs = {name: {"experiment": name, **config}
+               for name, config in SMOKE.items()}
+    plain = sorted(set(SMOKE) - set(GRID_EXPERIMENTS))
+    order = plain + ["tise-solve"]
+    result = json.loads(fresh_interpreter(
+        SCIPY_FREE_SCRIPT, json.dumps(configs), json.dumps(order),
+        str(tmp_path)))
+    assert result["loaded"] == {
+        **{stage: False for stage in ["import", "validate"] + plain},
+        "tise-solve": True}
+    assert result["digests"] == {name: DIGESTS[name] for name in order}
+
+
+# Direct calls of the two grid solvers, each the first scipy user of its
+# interpreter; ``result`` is a list of arrays.
+SOLVER_CALLS = {
+    "solve_eigen": """\
+from robustq import Grid1D, ScalarField, StationaryProblem, solve_eigen
+grid = Grid1D.from_interval(-10.0, 10.0, 301)
+potential = ScalarField(grid, 0.5 * grid.nodes() ** 2, kind="potential")
+states = solve_eigen(StationaryProblem(potential, 0.0), grid, 2)
+result = [np.array([e for e, _ in states])] + [w.values for _, w in states]
+""",
+    # 399 interior nodes: the LU factors of ?gttrf, then ?gttrs
+    "propagate": """\
+from robustq import GaugeField, Grid1D, PropagatorConfig, normalized_wave, propagate
+grid = Grid1D.from_interval(-10.0, 10.0, 401)
+psi0 = normalized_wave(grid, np.exp(-grid.nodes() ** 2 + 0.5j * grid.nodes()))
+final, trace = propagate(psi0, GaugeField(), PropagatorConfig(
+    grid=grid, dt=1e-3, t_final=0.02, sample_stride=5))
+result = [final.values, trace.norm, trace.width, trace.hje_residual]
+""",
+    # 2 interior nodes: solve_banded
+    "propagate-two-nodes": """\
+from robustq import GaugeField, Grid1D, PropagatorConfig, normalized_wave, propagate
+grid = Grid1D.from_interval(-1.0, 1.0, 4)
+psi0 = normalized_wave(grid, np.array([0.0, 1.0, 0.5j, 0.0]))
+final, trace = propagate(psi0, GaugeField(), PropagatorConfig(
+    grid=grid, dt=1e-3, t_final=0.005, sample_stride=10 ** 9))
+result = [final.values, trace.norm, trace.mean_x]
+""",
+}
+SOLVER_HEAD = "import sys\nimport numpy as np\nimport robustq\n"
+SOLVER_TAIL = """\
+import hashlib
+assert "scipy" in sys.modules
+print(hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_CALLS))
+def test_grid_solver_loads_scipy_itself(name):
+    # the bytes in a fresh interpreter are those of the same call here,
+    # made with scipy loaded beforehand
+    import scipy.linalg  # noqa: F401
+    code = SOLVER_HEAD + 'assert "scipy" not in sys.modules\n' \
+        + SOLVER_CALLS[name]
+    namespace = {}
+    exec(SOLVER_HEAD + SOLVER_CALLS[name], namespace)
+    expected = hashlib.sha256(b"".join(
+        a.tobytes() for a in namespace["result"])).hexdigest()
+    assert fresh_interpreter(code + SOLVER_TAIL).strip() == expected

@@ -261,6 +261,9 @@ def _check_relations(top: dict, diags: list) -> None:
             budgets.append(("parameters.sample_stride",
                             -(-n_steps // p["sample_stride"]) + 1, _MAX_ROWS,
                             "trace rows"))
+    if "n_points" in p:  # the grid experiments write one row per node
+        budgets.append(("parameters.n_points", p["n_points"], _MAX_ROWS,
+                        "CSV rows (one per grid node)"))
     if _SCHEMAS[top["experiment"]].stochastic:
         points = p.get("steps", 0) + 1
         budgets += [("parameters.trials", p["trials"] * points, _MAX_DRAWS,
@@ -743,7 +746,7 @@ def _run_gauge_check(config: RunConfig):
 # of propagation take some 7 minutes.
 _MAX_NODE_STEPS = 10 ** 10  # n_steps * n_points of tdse-run, gauge-check
 _MAX_DRAWS = 10 ** 11  # trials * (steps + 1) of a seeded experiment
-_MAX_ROWS = 10 ** 6  # tdse-run trace samples; scan points (steps + 1)
+_MAX_ROWS = 10 ** 6  # tdse-run trace samples; scan points; grid nodes
 
 # The one experiment-keyed table: handler, seed requirement, parameters.
 _SCHEMAS: Dict[str, Experiment] = {

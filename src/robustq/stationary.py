@@ -364,16 +364,24 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
                         floor: float = DENSITY_FLOOR) -> MinimizeResult:
     """Projected L-BFGS descent on the discrete robustness objective.
 
-    Each step moves (P, S) along a search direction, clamps P to the floor,
-    renormalises h * sum P = 1 and clamps again, so every iterate keeps all
-    nodes in the 1/P terms (the returned density is renormalised once more,
-    exactly); S is unconstrained.  The direction is the
-    limited-memory quasi-Newton one built from the last ``LBFGS_MEMORY``
-    steps (Liu & Nocedal 1989).  The step length starts at 1, is capped by
-    a ratio test that keeps P interior (at most 90% of the smallest
-    P/|direction| ratio among shrinking nodes) and is halved until the
-    objective strictly decreases, so the returned value history is
-    monotone nonincreasing.
+    The descent runs in the amplitude a = sqrt(P) and the action S, the
+    substitution that turns the Fisher term integral (P')^2 / P into the
+    quadratic form 4 integral (a')^2.  In P itself the 1/P weights make the
+    problem badly conditioned, and the descent needs an order of magnitude
+    more iterations.  The objective is still the one of
+    ``_discrete_objective_and_gradient`` at P = a^2, whose gradient in a is
+    2 a times its gradient in P.
+
+    Each step moves (a, S) along a search direction, clamps a to
+    sqrt(floor), rescales it to h * sum a^2 = 1 and clamps again, so every
+    iterate keeps all nodes in the 1/P terms; S is unconstrained.  The
+    returned density is a^2, renormalised once more, exactly.  The
+    direction is the limited-memory quasi-Newton one built from the last
+    ``LBFGS_MEMORY`` steps (Liu & Nocedal 1989).  The step length starts at
+    1, is capped by a ratio test that keeps a interior (at most 90% of the
+    smallest a/|direction| ratio among shrinking nodes above sqrt(floor)),
+    and is halved until the objective strictly decreases, so the returned
+    value history is monotone nonincreasing.
 
     When the quasi-Newton direction is not a descent direction, or no
     halving of it decreases the objective, the memory is dropped and the
@@ -392,28 +400,32 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     h = g.spacing
     w = trapezoid_weights(n, h)
     v = problem.potential.values
+    root_floor = math.sqrt(floor)
+    if root_floor * root_floor < floor:  # a clamped node must square to it
+        root_floor = math.nextafter(root_floor, math.inf)
 
-    def project(p):
-        # the second clamp keeps renormalisation from leaving a clamped node
-        # just below the floor: there it would drop out of the 1/P terms,
-        # and the objective would jump up at any step that lifts it back
-        p = np.maximum(p, floor)
-        return np.maximum(p / (h * p.sum()), floor)
+    def project(a):
+        # the second clamp keeps rescaling from leaving a clamped node just
+        # below the floor: there it would drop out of the 1/P terms, and the
+        # objective would jump up at any step that lifts it back
+        a = np.maximum(a, root_floor)
+        return np.maximum(a / math.sqrt(h * float(_dot(a, a))), root_floor)
 
     def evaluate(x):
+        a = x[:n]
         value, grad_p, grad_s = _discrete_objective_and_gradient(
-            x[:n], x[n:], v, problem.energy, problem.mass, problem.lam, h, w,
+            a * a, x[n:], v, problem.energy, problem.mass, problem.lam, h, w,
             floor)
-        return value, np.concatenate((grad_p, grad_s))
+        return value, np.concatenate((2.0 * a * grad_p, grad_s))
 
     def descend(x, value, direction):
         """First halving of the capped step that lowers the objective."""
-        p, dp = x[:n], direction[:n]
+        a, da = x[:n], direction[:n]
         step = 1.0
-        shrinking = (dp < 0) & (p > floor)
+        shrinking = (da < 0) & (a > root_floor)
         if shrinking.any():
-            step = min(step, 0.9 * float(np.min(p[shrinking]
-                                                / -dp[shrinking])))
+            step = min(step, 0.9 * float(np.min(a[shrinking]
+                                                / -da[shrinking])))
         for _ in range(100):
             x_new = x + step * direction
             x_new[:n] = project(x_new[:n])
@@ -423,7 +435,7 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
             step *= 0.5
         return None
 
-    x = np.concatenate((project(density0.values), action0.values))
+    x = np.concatenate((project(np.sqrt(density0.values)), action0.values))
     value, grad = evaluate(x)
     history = [value]
     pairs = deque(maxlen=LBFGS_MEMORY)
@@ -458,7 +470,8 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
             break
     # the second clamp in project() can add up to (x_max - x_min) * floor of
     # mass; the returned density is renormalised exactly
-    density = x[:n] / (h * x[:n].sum())
+    density = x[:n] * x[:n]
+    density /= h * density.sum()
     return MinimizeResult(
         density=ScalarField(g, density, kind="density"),
         action=ScalarField(g, x[n:], kind="action"),

@@ -573,6 +573,24 @@ class TestInitialState:
         assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
+class TestMinimizeRun:
+    def test_steep_harmonic_well_converges(self, tmp_path):
+        # omega = 2 squeezes the ground state into a few dozen nodes; a
+        # descent in P itself ran out of 200,000 iterations here
+        run({"experiment": "tise-minimize",
+             "parameters": {"potential": {"kind": "harmonic", "omega": 2},
+                            "max_iter": 2000}}, output_dir=str(tmp_path))
+        summary = np.genfromtxt(tmp_path / "summary.csv", delimiter=",",
+                                names=True)
+        assert summary["converged"] == 1
+        assert summary["sup_diff_vs_eigen"] <= 1e-3
+        x, density = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
+                                skiprows=1, usecols=(0, 1), unpack=True)
+        assert density.min() >= 1e-12
+        h = (x[-1] - x[0]) / (x.size - 1)
+        assert abs(h * density.sum() - 1.0) <= 1e-13
+
+
 class TestBlasThreads:
     """CSV bytes must not depend on the BLAS thread count.  Propagation
     calls LAPACK's tridiagonal LU directly; the minimiser's L-BFGS vectors
@@ -705,6 +723,21 @@ class TestRangeChecks:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment,params", [
+        ("tise-solve", {}), ("tise-minimize", {}),
+        ("tdse-run", {"t_final": 0}), ("gauge-check", {"t_final": 0})])
+    def test_grid_rows_refused_at_validation(self, experiment, params,
+                                             tmp_path, capsys):
+        # one CSV row per node: a billion nodes is gigabytes of output.
+        # Validation only, so a missed refusal cannot start the run.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "experiment": experiment,
+            "parameters": {"n_points": 10 ** 9, **params}}))
+        assert main(["validate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "parameters.n_points" in err and "budget" in err
+
     def test_boundary_values_accepted(self):
         config = validate_config({
             "experiment": "tise-minimize",
@@ -719,7 +752,9 @@ class TestRangeChecks:
         ("sg-scan", {"trials": 10 ** 5, "steps": 10 ** 6 - 1}),
         ("count-maximizer", {"n_outcomes": 2, "n_total": 2 ** 63,
                              "counts": [2 ** 63 - 1, 1]}),
-    ], ids=["rows", "node-steps", "draws", "scan-rows", "counts"])
+        ("tise-solve", {"n_points": 10 ** 6}),
+    ], ids=["rows", "node-steps", "draws", "scan-rows", "counts",
+            "grid-rows"])
     def test_budgets_and_counts_accepted_at_the_bound(self, experiment,
                                                       params):
         validate_config({"experiment": experiment, "seed": 1,

@@ -423,7 +423,7 @@ class TestMinimizeFunctional:
         grid, problem, ground, init = self.setup_problem()
         result = minimize_functional(problem, grid, init)
         assert result.converged
-        assert result.iterations <= 10_000
+        assert result.iterations <= 1_000
         assert np.max(np.abs(result.density.values
                              - ground.density_values())) <= 1e-3
 
@@ -438,6 +438,7 @@ class TestMinimizeFunctional:
         # quasi-Newton minimiser must get at least as low in 3,000
         grid, problem, _, init = self.setup_problem(potential=potential)
         result = minimize_functional(problem, grid, init, max_iter=3000)
+        assert result.converged
         assert result.value <= reference
         assert np.all(np.diff(result.history) <= 0)
         assert result.density.values.min() >= 1e-12

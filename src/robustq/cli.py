@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from . import dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
-from .grid import Grid1D, ScalarField, WaveField, _dot, normalized_wave
+from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, _dot,
+                   normalized_wave)
 
 THREADS_ENV = "ROBUSTQ_THREADS"
 
@@ -244,9 +245,24 @@ def _check_relations(top: dict, diags: list) -> None:
         diags.append(f"physics.lambda: {lam!r} inconsistent with hbar="
                      f"{phys['hbar']!r}; default units require lambda = "
                      "4 / hbar^2 (set default_units false to override)")
+    if "theta_start" in p \
+            and not math.isfinite(p["theta_stop"] - p["theta_start"]):
+        diags.append(f"parameters.theta_stop: must lie a finite distance "
+                     f"from parameters.theta_start ({p['theta_start']!r}); "
+                     f"got {p['theta_stop']!r}")
     if "x_min" in p and not p["x_max"] > p["x_min"]:
         diags.append(f"parameters.x_max: must exceed parameters.x_min "
                      f"({p['x_min']!r}); got {p['x_max']!r}")
+    elif "x_min" in p and not math.isfinite(p["x_max"] - p["x_min"]):
+        diags.append(f"parameters.x_max: must lie a finite distance from "
+                     f"parameters.x_min ({p['x_min']!r}); got {p['x_max']!r}")
+    elif "potential" in p:
+        for x in (p["x_min"], p["x_max"]):
+            value = _potential_at(p["potential"], x)
+            if not math.isfinite(value):
+                diags.append(f"parameters.potential: must be finite on "
+                             f"[x_min, x_max]; got {value!r} at x = {x!r}")
+                break
     if "n_states" in p and p["n_states"] > p["n_points"] - 2:
         diags.append(f"parameters.n_states: must be at most parameters."
                      f"n_points - 2 ({p['n_points'] - 2}); got {p['n_states']}")
@@ -444,6 +460,18 @@ def build_potential(spec: dict, grid: Grid1D) -> ScalarField:
     else:  # "zero" and "box": free inside the Dirichlet walls
         values = np.zeros_like(x)
     return ScalarField(grid, values, kind="potential")
+
+
+def _potential_at(spec: dict, x: float) -> float:
+    """``build_potential``'s value at one point, in Python floats, with an
+    overflow giving inf rather than OverflowError.  Both kinds that vary
+    take their extremes on an interval at its ends."""
+    if spec["kind"] == "harmonic":
+        d = x - spec["center"]
+        return 0.5 * (spec["omega"] * spec["omega"]) * (d * d)
+    if spec["kind"] == "linear":
+        return spec["slope"] * x
+    return 0.0
 
 
 def build_gauge_component(spec: dict) -> Callable:
@@ -646,27 +674,67 @@ def _run_tise_solve(config: RunConfig):
     }
 
 
+# Fewest nodes of a coarse level in tise-minimize's nested iteration, so
+# the defaults (131 nodes) solve on 33, 66 and 131.  Of the five configs
+# tabled in CHANGES.md, going down to 17 nodes took more iterations in
+# total on four, and stopping at 65 on four.
+_MIN_LEVEL_NODES = 33
+
+
+def _interpolated_start(density: ScalarField, action: ScalarField,
+                        grid: Grid1D):
+    """A coarser level's (density, action) carried to ``grid``: sqrt(P) and
+    S interpolated linearly, P floored and renormalised to h * sum P = 1."""
+    x_from, x_to = density.grid.nodes(), grid.nodes()
+    amplitude = np.interp(x_to, x_from, np.sqrt(density.values))
+    p = np.maximum(amplitude * amplitude, DENSITY_FLOOR)
+    p /= grid.spacing * p.sum()
+    return (ScalarField(grid, p, kind="density"),
+            ScalarField(grid, np.interp(x_to, x_from, action.values),
+                        kind="action"))
+
+
 def _run_tise_minimize(config: RunConfig):
+    """Nested iteration: the minimiser runs first on grids over the same
+    interval with about half, a quarter, ... of the nodes, where the
+    long-wavelength error it removes slowest is cheap to remove, and each
+    level starts from the one below.  Every level takes the fine grid's
+    eigen energy: with h * sum P = 1 the energy only shifts the objective.
+    ``max_iter`` bounds the total; a coarse level may spend at most half
+    of what is left."""
     params = config.parameters
     grid = _grid_of(params)
     problem0 = _stationary_problem(config, grid)
     (energy0, ground) = stationary.solve_eigen(problem0, grid, 1)[0]
-    problem = _stationary_problem(config, grid, energy=energy0)
-    n = grid.n_points
+    levels = [grid]  # finest first
+    while (levels[-1].n_points + 1) // 2 >= _MIN_LEVEL_NODES:
+        levels.append(Grid1D.from_interval(
+            params["x_min"], params["x_max"], (levels[-1].n_points + 1) // 2))
+    coarsest = levels[-1]
+    n = coarsest.n_points
     uniform = np.ones(n)
-    uniform /= grid.spacing * uniform.sum()
-    init = (ScalarField(grid, uniform, kind="density"),
-            ScalarField(grid, np.zeros(n), kind="action"))
-    result = stationary.minimize_functional(problem, grid, init,
-                                            max_iter=params["max_iter"],
-                                            tol=params["tol"])
+    uniform /= coarsest.spacing * uniform.sum()
+    init = (ScalarField(coarsest, uniform, kind="density"),
+            ScalarField(coarsest, np.zeros(n), kind="action"))
+    spent = 0
+    for level in reversed(levels):
+        budget = params["max_iter"] - spent
+        if level is not grid:
+            budget //= 2
+        if init[0].grid is not level:
+            init = _interpolated_start(*init, level)
+        result = stationary.minimize_functional(
+            _stationary_problem(config, level, energy=energy0), level, init,
+            max_iter=budget, tol=params["tol"])
+        spent += result.iterations
+        init = (result.density, result.action)
     eigen_density = ground.density_values()
     sup_diff = float(np.max(np.abs(result.density.values - eigen_density)))
     return {
         "summary.csv": {
             "energy": np.array([energy0]),
             "objective": np.array([result.value]),
-            "iterations": np.array([result.iterations]),
+            "iterations": np.array([spent]),
             "converged": np.array([int(result.converged)]),
             "sup_diff_vs_eigen": np.array([sup_diff]),
         },

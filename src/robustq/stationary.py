@@ -387,9 +387,11 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     halving of it decreases the objective, the memory is dropped and the
     same iteration retries along the gradient, scaled by the spectral
     (Barzilai-Borwein) step length of the newest pair.  Terminates when
-    the relative decrease falls below ``tol``, when that gradient step
-    finds no float-representable decrease (a stationary point of the
-    projected problem), or at ``max_iter``; only the last case reports
+    one iteration lowers the objective by less than ``tol * max(1, |F|)``
+    with F the new value (so the test is absolute while |F| < 1, as at
+    the CLI defaults, and relative above), when that gradient step finds
+    no float-representable decrease (a stationary point of the projected
+    problem), or at ``max_iter``; only the last case reports
     ``converged=False`` with the best iterate.
     """
     density0, action0 = init

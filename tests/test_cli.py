@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import robustq
-from robustq.cli import (EMIT_CHUNK_ROWS, EXPERIMENTS, emit_csv, main, run,
-                         validate_config)
+from robustq import stationary
+from robustq.cli import (EMIT_CHUNK_ROWS, EXPERIMENTS, build_potential,
+                         emit_csv, main, run, validate_config)
 from robustq.errors import ConfigError
+from robustq.grid import Grid1D, ScalarField
 
 
 def minimal_simulate_config(**overrides):
@@ -590,6 +592,52 @@ class TestMinimizeRun:
         h = (x[-1] - x[0]) / (x.size - 1)
         assert abs(h * density.sum() - 1.0) <= 1e-13
 
+    @staticmethod
+    def summary(tmp_path, **params):
+        run({"experiment": "tise-minimize", "parameters": params},
+            output_dir=str(tmp_path))
+        return np.genfromtxt(tmp_path / "summary.csv", delimiter=",",
+                             names=True)
+
+    # objectives of the single-level solve these configs had before the
+    # coarse levels; the nested one reaches the same optimum
+    @pytest.mark.parametrize("params,most,objective", [
+        ({}, 180, -9.552832497448280e-04),
+        ({"n_points": 401}, 450, -1.462682697456312e-03),
+    ], ids=["defaults", "401-nodes"])
+    def test_coarse_levels_cut_iterations(self, params, most, objective,
+                                          tmp_path):
+        summary = self.summary(tmp_path, **params)
+        assert summary["iterations"] <= most
+        assert summary["converged"] == 1
+        assert summary["sup_diff_vs_eigen"] <= 1e-3
+        assert abs(summary["objective"] - objective) <= 1e-12
+
+    @pytest.mark.parametrize("max_iter", [1, 5, 60])
+    def test_max_iter_bounds_the_total(self, max_iter, tmp_path):
+        summary = self.summary(tmp_path, max_iter=max_iter)
+        assert summary["iterations"] <= max_iter
+        if max_iter == 5:
+            assert summary["converged"] == 0
+
+    def test_small_grid_is_one_direct_solve(self, tmp_path):
+        # under 65 nodes no coarser level keeps 33, so the CLI makes the
+        # one minimize_functional call from the uniform start
+        self.summary(tmp_path, n_points=61)
+        density = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
+                             skiprows=1, usecols=1)
+        grid = Grid1D.from_interval(-3.25, 3.25, 61)
+        potential = build_potential({"kind": "harmonic", "omega": 1.0,
+                                     "center": 0.0}, grid)
+        energy = stationary.solve_eigen(
+            stationary.StationaryProblem(potential, 0.0), grid, 1)[0][0]
+        uniform = np.full(61, 1.0 / (61 * grid.spacing))
+        result = stationary.minimize_functional(
+            stationary.StationaryProblem(potential, energy), grid,
+            (ScalarField(grid, uniform, kind="density"),
+             ScalarField(grid, np.zeros(61), kind="action")))
+        assert np.array_equal(density, result.density.values)
+
 
 class TestBlasThreads:
     """CSV bytes must not depend on the BLAS thread count.  Propagation
@@ -708,6 +756,20 @@ class TestRangeChecks:
         ("tdse-run", {"t_final": 1e4, "n_points": 3, "sample_stride": 1},
          "parameters.sample_stride"),
         ("sg-scan", {"trials": 1, "steps": 10 ** 6}, "parameters.steps"),
+        # spans and potentials that overflow a double
+        ("eprb-scan", {"trials": 100, "theta_start": -1e308,
+                       "theta_stop": 1e308}, "parameters.theta_stop"),
+        ("sg-scan", {"trials": 100, "theta_start": 1e308,
+                     "theta_stop": -1e308}, "parameters.theta_stop"),
+        ("tise-solve", {"potential": {"kind": "harmonic", "omega": 1e200}},
+         "parameters.potential"),
+        ("tise-minimize", {"potential": {"kind": "linear", "slope": 1e308}},
+         "parameters.potential"),
+        ("tise-solve", {"x_min": -1e308, "x_max": 1.0,
+                        "potential": {"kind": "linear", "slope": 10}},
+         "parameters.potential"),
+        ("tise-minimize", {"x_min": -1e308, "x_max": 1e308},
+         "parameters.x_max"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)
@@ -743,6 +805,17 @@ class TestRangeChecks:
             "experiment": "tise-minimize",
             "parameters": {"n_points": 3, "max_iter": 1, "tol": 0.0}})
         assert config.parameters["n_points"] == 3
+
+    @pytest.mark.parametrize("potential", [
+        {"kind": "harmonic", "omega": 1e150},
+        {"kind": "linear", "slope": 1e306},
+    ])
+    def test_large_finite_potential_accepted(self, potential):
+        config = validate_config({"experiment": "tise-solve",
+                                  "parameters": {"potential": potential}})
+        grid = Grid1D.from_interval(-10.0, 10.0, 1001)
+        values = build_potential(config.parameters["potential"], grid).values
+        assert np.isfinite(values).all()
 
     @pytest.mark.parametrize("experiment,params", [
         ("tdse-run", {"dt": 1.0, "t_final": 10 ** 6 - 1, "n_points": 3,

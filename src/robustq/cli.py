@@ -240,7 +240,10 @@ def _check_relations(top: dict, diags: list) -> None:
     phys, p = top["physics"], top["parameters"]
     budgets = []  # (key path, what the run needs, budget, unit)
     lam = phys.get("lambda")
-    if phys["default_units"] and lam is not None \
+    if not 0.0 < phys["hbar"] * phys["hbar"] < math.inf:
+        diags.append(f"physics.hbar: hbar^2 must be nonzero and finite; "
+                     f"got hbar = {phys['hbar']!r}")
+    elif phys["default_units"] and lam is not None \
             and abs(lam - 4.0 / phys["hbar"] ** 2) > 1e-9:
         diags.append(f"physics.lambda: {lam!r} inconsistent with hbar="
                      f"{phys['hbar']!r}; default units require lambda = "
@@ -256,13 +259,14 @@ def _check_relations(top: dict, diags: list) -> None:
     elif "x_min" in p and not math.isfinite(p["x_max"] - p["x_min"]):
         diags.append(f"parameters.x_max: must lie a finite distance from "
                      f"parameters.x_min ({p['x_min']!r}); got {p['x_max']!r}")
-    elif "potential" in p:
-        for x in (p["x_min"], p["x_max"]):
-            value = _potential_at(p["potential"], x)
-            if not math.isfinite(value):
-                diags.append(f"parameters.potential: must be finite on "
-                             f"[x_min, x_max]; got {value!r} at x = {x!r}")
-                break
+    else:
+        for key in ("potential", "scalar_potential", "vector_potential"):
+            for x in (p["x_min"], p["x_max"]) if key in p else ():
+                value = _potential_at(p[key], x)
+                if not math.isfinite(value):
+                    diags.append(f"parameters.{key}: must be finite on "
+                                 f"[x_min, x_max]; got {value!r} at x = {x!r}")
+                    break
     if "n_states" in p and p["n_states"] > p["n_points"] - 2:
         diags.append(f"parameters.n_states: must be at most parameters."
                      f"n_points - 2 ({p['n_points'] - 2}); got {p['n_states']}")
@@ -464,10 +468,11 @@ def build_potential(spec: dict, grid: Grid1D) -> ScalarField:
 
 def _potential_at(spec: dict, x: float) -> float:
     """``build_potential``'s value at one point, in Python floats, with an
-    overflow giving inf rather than OverflowError.  Both kinds that vary
-    take their extremes on an interval at its ends."""
+    overflow giving inf rather than OverflowError; for a gauge component
+    (harmonic about 0, or bounded in x) that of ``build_gauge_component``.
+    Every kind that varies takes its extremes on an interval at its ends."""
     if spec["kind"] == "harmonic":
-        d = x - spec["center"]
+        d = x - spec.get("center", 0.0)
         return 0.5 * (spec["omega"] * spec["omega"]) * (d * d)
     if spec["kind"] == "linear":
         return spec["slope"] * x

@@ -32,11 +32,9 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LinearSolveError, PhaseUndefinedError, StabilityError
-from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, gradient,
-                   trapezoid)
+from .grid import Grid1D, ScalarField, WaveField, gradient, trapezoid
 from .stationary import _phase_action, continuum_fisher
 
-MODULUS_FLOOR = 1e-12
 _CHI_STEP = 6e-6  # relative central-difference step for gauge functions
 
 
@@ -138,7 +136,7 @@ class Observables:
     fisher_spatial: float
 
 
-def observables(psi: WaveField, floor: float = DENSITY_FLOOR) -> Observables:
+def observables(psi: WaveField) -> Observables:
     """Norm, density moments, and spatial Fisher information of a field."""
     x = psi.grid.nodes()
     h = psi.grid.spacing
@@ -146,8 +144,7 @@ def observables(psi: WaveField, floor: float = DENSITY_FLOOR) -> Observables:
     norm = h * float(p.sum())
     mean = h * float((x * p).sum()) / norm
     width = math.sqrt(h * float(((x - mean) ** 2 * p).sum()) / norm)
-    fisher = continuum_fisher(ScalarField(psi.grid, p / norm, kind="density"),
-                              floor=floor)
+    fisher = continuum_fisher(ScalarField(psi.grid, p / norm, kind="density"))
     return Observables(norm=norm, mean_x=mean, width=width,
                        fisher_spatial=fisher)
 
@@ -178,10 +175,13 @@ def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
     diag = (2.0 * kin / h ** 2 + v).astype(complex)
     r = 0.5j * dt / hbar
     n = diag.size
+    # conj(hop) is exp(+1j * link_phase) up to the sign of a zero imaginary
+    # part (at link_phase -0.0), which no result depends on
+    hop = np.exp(-1j * link_phase)
     bands = np.zeros((3, n), dtype=complex)
-    bands[0, 1:] = r * (-(kin / h ** 2) * np.exp(-1j * link_phase))
+    bands[0, 1:] = r * (-(kin / h ** 2) * hop)
     bands[1, :] = 1.0 + r * diag
-    bands[2, :-1] = r * (-(kin / h ** 2) * np.exp(+1j * link_phase))
+    bands[2, :-1] = r * (-(kin / h ** 2) * np.conj(hop))
     lu = None
     if n >= 3:
         # gttrf + gttrs make the same eliminations as solve_banded's gtsv
@@ -309,7 +309,7 @@ def _hje_residual_triplet(grid: Grid1D, psi_before: np.ndarray,
     h = grid.spacing
     x = grid.nodes()
     p = np.abs(psi_at) ** 2
-    s_before, s_mid, s_after = (_phase_action(psi, lam, MODULUS_FLOOR)
+    s_before, s_mid, s_after = (_phase_action(psi, lam)
                                 for psi in (psi_before, psi_at, psi_after))
     ref = int(np.argmax(np.where(np.isfinite(s_mid), p, -1.0)))
     s_before = _reconcile_winding(s_before, s_mid, ref, lam)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .errors import BranchError, EmptyDataError, InvalidModelError
-from .inference import CountRecord, OutcomeTable
+from .inference import OutcomeTable
 
 PAIR_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -78,9 +78,6 @@ class PairCounts:
 
     def as_tuple(self) -> Tuple[int, int, int, int]:
         return (self.n_pp, self.n_pm, self.n_mp, self.n_mm)
-
-    def to_count_record(self) -> CountRecord:
-        return CountRecord(outcomes=PAIR_OUTCOMES, counts=self.as_tuple())
 
     def correlation(self) -> float:
         return (self.n_pp + self.n_mm - self.n_pm - self.n_mp) / self.total
@@ -236,8 +233,7 @@ def pair_family(model: CorrelationModel):
 def pair_table(theta: float, model: CorrelationModel) -> OutcomeTable:
     """Joint table P(x, y) = (1 + x y E12(theta)) / 4 with fair marginals."""
     return OutcomeTable.from_generator(pair_family(model), [theta],
-                                       PAIR_OUTCOMES,
-                                       condition_tag=f"pair:{model.kind}")
+                                       PAIR_OUTCOMES)
 
 
 def pair_table_from_correlation(e12: float) -> OutcomeTable:

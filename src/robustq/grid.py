@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DENSITY_FLOOR = 1e-12
+DENSITY_FLOOR = 1e-12  # densities below it drop out of the 1/P terms
+MODULUS_FLOOR = 1e-12  # moduli |psi| below it leave the phase undefined
 _DOT_SLICE = 8192  # below the length at which OpenBLAS threads a dot
 
 
@@ -30,15 +31,12 @@ class Grid1D:
     n_points: int
     spacing: float
     origin: float = 0.0
-    boundary: str = "dirichlet_zero"
 
     def __post_init__(self):
         if self.n_points < 3:
             raise ValueError("grid needs at least 3 nodes")
         if not self.spacing > 0:
             raise ValueError("grid spacing must be positive")
-        if self.boundary != "dirichlet_zero":
-            raise ValueError(f"unsupported boundary kind {self.boundary!r}")
 
     @classmethod
     def from_interval(cls, x_min: float, x_max: float, n_points: int) -> "Grid1D":
@@ -51,8 +49,7 @@ class Grid1D:
         return self.origin + self.spacing * np.arange(self.n_points)
 
     def shifted(self, shift: float) -> "Grid1D":
-        return Grid1D(self.n_points, self.spacing, self.origin + shift,
-                      self.boundary)
+        return Grid1D(self.n_points, self.spacing, self.origin + shift)
 
     def compatible_with(self, other: "Grid1D") -> bool:
         return (self.n_points == other.n_points

@@ -20,7 +20,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import DomainError, ResourceError
 NORMALISATION_TOL = 1e-12
 POSITIVITY_FLOOR = 1e-12
 DERIVATIVE_STEP = 1e-5
+BOUND_TOL = 1e-12  # relative slack of evidence_bound_check's sandwich
 LOG_FORM_THRESHOLD = 100
 COMPOSITION_CAP = 10 ** 7
 
@@ -51,7 +52,6 @@ class OutcomeTable:
     outcomes: tuple
     probs: Tuple[float, ...]
     parameter: Tuple[float, ...] = ()
-    condition_tag: str = ""
     generator: Optional[Callable[[np.ndarray], Sequence[float]]] = None
 
     def __post_init__(self):
@@ -67,19 +67,11 @@ class OutcomeTable:
             raise ValueError("outcome labels must be distinct")
 
     @classmethod
-    def from_mapping(cls, prob: Mapping, **kwargs) -> "OutcomeTable":
-        outcomes = tuple(prob.keys())
-        return cls(outcomes=outcomes,
-                   probs=tuple(prob[o] for o in outcomes), **kwargs)
-
-    @classmethod
-    def from_generator(cls, generator, theta, outcomes,
-                       condition_tag: str = "") -> "OutcomeTable":
+    def from_generator(cls, generator, theta, outcomes) -> "OutcomeTable":
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         probs = tuple(float(p) for p in generator(theta))
         return cls(outcomes=tuple(outcomes), probs=probs,
-                   parameter=tuple(theta), condition_tag=condition_tag,
-                   generator=generator)
+                   parameter=tuple(theta), generator=generator)
 
     def prob_of(self, outcome) -> float:
         return self.probs[self.outcomes.index(outcome)]
@@ -190,12 +182,13 @@ class MaximizerReport:
 # table validation
 # ---------------------------------------------------------------------------
 
-def validate_table(table: OutcomeTable, tol: float = NORMALISATION_TOL) -> list:
+def validate_table(table: OutcomeTable) -> list:
     """Return the list of violated probability invariants (empty when valid).
 
     Checks normalisation, nonnegativity, and the complement rule
-    P(A) + P(not A) = 1 for every singleton subset A; additivity makes the
-    singleton checks cover all other subsets up to summation rounding.
+    P(A) + P(not A) = 1 for every singleton subset A, each within
+    ``NORMALISATION_TOL``; additivity makes the singleton checks cover all
+    other subsets up to summation rounding.
     Never raises: a verdict is always produced.
     """
     violations = []
@@ -206,14 +199,14 @@ def validate_table(table: OutcomeTable, tol: float = NORMALISATION_TOL) -> list:
         violations.append(f"finiteness: non-finite probability at {bad!r}")
         return violations
     total = float(p.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > NORMALISATION_TOL:
         violations.append(f"normalisation: probabilities sum to {total!r}")
     for o, po in zip(table.outcomes, table.probs):
         if po < 0:
             violations.append(f"nonnegativity: P({o!r}) = {po!r}")
     for i, o in enumerate(table.outcomes):
         comp = float(np.delete(p, i).sum())
-        if abs(table.probs[i] + comp - 1.0) > tol:
+        if abs(table.probs[i] + comp - 1.0) > NORMALISATION_TOL:
             violations.append(
                 f"complement rule: P({o!r}) + P(rest) = {table.probs[i] + comp!r}")
     return violations
@@ -315,15 +308,13 @@ def _theta_of(table: OutcomeTable, theta) -> np.ndarray:
     return theta
 
 
-def fisher_discrete(family: OutcomeTable, theta=None,
-                    step: float = DERIVATIVE_STEP,
-                    floor: float = POSITIVITY_FLOOR) -> FisherReport:
+def fisher_discrete(family: OutcomeTable, theta=None) -> FisherReport:
     """Per-trial Fisher information matrix of a parametric outcome family.
 
     I[i, i'] = sum_o (1/p_o) (dp_o/dtheta_i)(dp_o/dtheta_i') with derivatives
-    by central differences of relative step ``step``.  Outcomes with
-    probability below ``floor`` are excluded from the sum (the 1/p weight is
-    singular there) and listed in the report.
+    by central differences of relative step ``DERIVATIVE_STEP``.  Outcomes
+    with probability below ``POSITIVITY_FLOOR`` are excluded from the sum
+    (the 1/p weight is singular there) and listed in the report.
     """
     theta = _theta_of(family, theta)
     p0 = _family_probs(family, theta)
@@ -331,13 +322,13 @@ def fisher_discrete(family: OutcomeTable, theta=None,
     m = p0.size
     dp = np.empty((d, m))
     for i in range(d):
-        hi = step * max(1.0, abs(theta[i]))
+        hi = DERIVATIVE_STEP * max(1.0, abs(theta[i]))
         tp = theta.copy()
         tp[i] += hi
         tm = theta.copy()
         tm[i] -= hi
         dp[i] = (_family_probs(family, tp) - _family_probs(family, tm)) / (2 * hi)
-    included = p0 >= floor
+    included = p0 >= POSITIVITY_FLOOR
     excluded = tuple(o for o, keep in zip(family.outcomes, included) if not keep)
     if not included.any():
         raise DomainError("all outcomes fall below the positivity floor")
@@ -349,20 +340,18 @@ def fisher_discrete(family: OutcomeTable, theta=None,
 
 
 def _robust_evidence(family: OutcomeTable, theta: np.ndarray,
-                     epsilon: np.ndarray, trials: float,
-                     floor: float) -> float:
+                     epsilon: np.ndarray, trials: float) -> float:
     """Evidence at displacement ``epsilon`` with the robust count assignment
     n_o = N p_o(theta); the first-order term then cancels identically."""
     p0 = _family_probs(family, theta)
     p1 = _family_probs(family, theta + epsilon)
-    if np.any(p0 < floor) or np.any(p1 < floor):
+    if np.any(p0 < POSITIVITY_FLOOR) or np.any(p1 < POSITIVITY_FLOOR):
         raise DomainError("a family probability fell below the positivity floor")
     return float(trials * np.sum(p0 * (np.log(p1) - np.log(p0))))
 
 
 def evidence_quadratic(family: OutcomeTable, theta, epsilon,
-                       trials: float,
-                       floor: float = POSITIVITY_FLOOR) -> EvidenceReport:
+                       trials: float) -> EvidenceReport:
     """Exact evidence of theta + epsilon against theta, with robust counts,
     next to its quadratic prediction -(N/2) eps' I eps.
 
@@ -381,9 +370,9 @@ def evidence_quadratic(family: OutcomeTable, theta, epsilon,
     epsilon = np.atleast_1d(np.asarray(epsilon, dtype=float))
     if epsilon.shape != theta.shape:
         raise ValueError("epsilon must match the parameter dimension")
-    ev_plus = _robust_evidence(family, theta, epsilon, trials, floor)
-    ev_minus = _robust_evidence(family, theta, -epsilon, trials, floor)
-    info = fisher_discrete(family, theta, floor=floor)
+    ev_plus = _robust_evidence(family, theta, epsilon, trials)
+    ev_minus = _robust_evidence(family, theta, -epsilon, trials)
+    info = fisher_discrete(family, theta)
     quad = -0.5 * trials * float(epsilon @ info.matrix @ epsilon)
     odd = 0.5 * ((ev_plus - quad) - (ev_minus - quad))
     even = 0.5 * ((ev_plus - quad) + (ev_minus - quad))
@@ -393,8 +382,7 @@ def evidence_quadratic(family: OutcomeTable, theta, epsilon,
                           cubic_remainder_bound=abs(odd) + abs(even))
 
 
-def evidence_bound_check(family: OutcomeTable, theta, epsilon,
-                         tol: float = 1e-12) -> BoundCheck:
+def evidence_bound_check(family: OutcomeTable, theta, epsilon) -> BoundCheck:
     """Check 0 <= eps' I eps <= d * max_i eps_i^2 * trace(I).
 
     The upper estimate is the Cauchy-Schwarz bound on the quadratic form; in
@@ -406,8 +394,8 @@ def evidence_bound_check(family: OutcomeTable, theta, epsilon,
     quad = float(epsilon @ info.matrix @ epsilon)
     d = theta.size
     upper = d * float(np.max(epsilon ** 2)) * float(np.trace(info.matrix))
-    scale = max(1.0, abs(upper))
-    passed = (-tol * scale <= quad) and (quad <= upper + tol * scale)
+    slack = BOUND_TOL * max(1.0, abs(upper))
+    passed = -slack <= quad <= upper + slack
     return BoundCheck(lower=0.0, quadratic_form=quad, upper=upper,
                       passed=passed)
 

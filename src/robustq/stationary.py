@@ -21,8 +21,9 @@ the other.
 
 Discretisation: second-order central differences (first-order one-sided at
 the two edge nodes), trapezoidal quadrature, Dirichlet-zero boundaries,
-node exclusion below ``DENSITY_FLOOR`` in 1/P terms.  Default units
-hbar = m = 1, lambda = 4.
+node exclusion below ``DENSITY_FLOOR`` in 1/P terms, phase undefined
+below ``MODULUS_FLOOR``.  These floors and ``SHIFT_TOL`` are fixed module
+constants, not parameters.  Default units hbar = m = 1, lambda = 4.
 """
 
 from __future__ import annotations
@@ -35,12 +36,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, _dot,
-                   gradient, gradient_adjoint, trapezoid, trapezoid_weights)
+from .grid import (DENSITY_FLOOR, MODULUS_FLOOR, Grid1D, ScalarField,
+                   WaveField, _dot, gradient, gradient_adjoint, trapezoid,
+                   trapezoid_weights)
 
 DEFAULT_HBAR = 1.0
 DEFAULT_MASS = 1.0
 LBFGS_MEMORY = 10  # curvature pairs kept by minimize_functional
+SHIFT_TOL = 1e-10  # largest gap shift_covariance_check lets pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,18 +94,19 @@ class ShiftVerdict:
 # quadratures
 # ---------------------------------------------------------------------------
 
-def continuum_fisher(density: ScalarField, floor: float = DENSITY_FLOOR) -> float:
-    """Trapezoidal quadrature of (P')^2 / P with nodes below ``floor`` excluded.
+def continuum_fisher(density: ScalarField) -> float:
+    """Trapezoidal quadrature of (P')^2 / P with nodes below ``DENSITY_FLOOR``
+    excluded.
 
-    The excluded nodes carry weight P < floor, so their true contribution is
-    bounded by floor times the squared log-slope; skipping them removes the
-    1/P singularity at density zeros.
+    The excluded nodes carry weight P < DENSITY_FLOOR, so their true
+    contribution is bounded by the floor times the squared log-slope;
+    skipping them removes the 1/P singularity at density zeros.
     """
     if density.kind != "density":
         raise ValueError("continuum_fisher expects a density field")
     p = density.values
     h = density.grid.spacing
-    mask = p >= floor
+    mask = p >= DENSITY_FLOOR
     if not mask.any():
         raise DomainError("all nodes fall below the density floor")
     dp = gradient(p, h)
@@ -142,10 +146,9 @@ def hje_residual(density: ScalarField, action: ScalarField,
 
 
 def density_functional(density: ScalarField, action: ScalarField,
-                       problem: StationaryProblem,
-                       floor: float = DENSITY_FLOOR) -> float:
+                       problem: StationaryProblem) -> float:
     """Robustness objective F = continuum_fisher + lambda * hje_residual."""
-    return (continuum_fisher(density, floor=floor)
+    return (continuum_fisher(density)
             + problem.lam * hje_residual(density, action, problem))
 
 
@@ -185,30 +188,29 @@ def madelung_join(density: ScalarField, action: ScalarField,
                                     * float((np.abs(values) ** 2).sum()) - 1.0) <= 1e-10)
 
 
-def madelung_split(psi: WaveField, lam: float = 4.0,
-                   floor: float = DENSITY_FLOOR
+def madelung_split(psi: WaveField, lam: float = 4.0
                    ) -> Tuple[ScalarField, ScalarField]:
     """Split psi into (density |psi|^2, action (2/sqrt(lambda)) arg psi).
 
     The phase is unwrapped left to right over the nodes with modulus >=
-    ``floor`` (jumps beyond pi are folded); nodes below the floor get NaN
+    ``MODULUS_FLOOR`` (jumps beyond pi are folded); the other nodes get NaN
     action, marking the phase undefined there.  The action is recovered up
     to one global additive constant, the density exactly.  The field must
     be normalised (the split density carries the density contract).
     """
     if abs(psi.norm() - 1.0) > 1e-10:
         raise ValueError("madelung_split needs a normalised wave field")
-    action = _phase_action(psi.values, lam, floor)
+    action = _phase_action(psi.values, lam)
     return (ScalarField(psi.grid, np.abs(psi.values) ** 2, kind="density"),
             ScalarField(psi.grid, action, kind="action"))
 
 
-def _phase_action(values: np.ndarray, lam: float, floor: float) -> np.ndarray:
+def _phase_action(values: np.ndarray, lam: float) -> np.ndarray:
     """The action (2/sqrt(lambda)) arg psi of the node values ``values``,
-    unwrapped left to right over the nodes with modulus >= ``floor`` and
-    NaN at the others; any norm will do."""
+    unwrapped left to right over the nodes with modulus >= ``MODULUS_FLOOR``
+    and NaN at the others; any norm will do."""
     action = np.full(values.shape, np.nan)
-    defined = np.abs(values) >= floor
+    defined = np.abs(values) >= MODULUS_FLOOR
     if defined.any():
         phases = np.unwrap(np.angle(values[defined]))
         action[defined] = (2.0 / math.sqrt(lam)) * phases
@@ -275,11 +277,10 @@ def _fix_sign(values: np.ndarray) -> np.ndarray:
 
 
 def shift_covariance_check(problem: StationaryProblem, grid: Grid1D,
-                           shift: float, n_states: int = 3,
-                           tol: float = 1e-10) -> ShiftVerdict:
+                           shift: float, n_states: int = 3) -> ShiftVerdict:
     """Solve the problem again with the potential carried to a grid shifted
     by a whole number of spacings; spectra must coincide and eigenfunctions
-    must be nodal translates.
+    must be nodal translates, both within ``SHIFT_TOL``.
     """
     h = grid.spacing
     steps = shift / h
@@ -297,7 +298,7 @@ def shift_covariance_check(problem: StationaryProblem, grid: Grid1D,
     fdiff = max(float(np.max(np.abs(w1.values - w2.values)))
                 for (_, w1), (_, w2) in zip(base, moved))
     return ShiftVerdict(eigenvalue_diff=ediff, eigenfunction_diff=fdiff,
-                        passed=(ediff <= tol and fdiff <= tol))
+                        passed=(ediff <= SHIFT_TOL and fdiff <= SHIFT_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +327,14 @@ def _discrete_objective_and_gradient(p, s, v, energy, mass, lam, h, w, floor):
 
 
 def functional_gradient(density: ScalarField, action: ScalarField,
-                        problem: StationaryProblem,
-                        floor: float = DENSITY_FLOOR):
+                        problem: StationaryProblem):
     """Nodewise gradient of the discrete objective wrt density and action."""
     g = _require_shared_grid(density, action, problem.potential)
     w = trapezoid_weights(g.n_points, g.spacing)
     _, grad_p, grad_s = _discrete_objective_and_gradient(
         density.values, action.values, problem.potential.values,
-        problem.energy, problem.mass, problem.lam, g.spacing, w, floor)
+        problem.energy, problem.mass, problem.lam, g.spacing, w,
+        DENSITY_FLOOR)
     return grad_p, grad_s
 
 
@@ -360,8 +361,8 @@ def _lbfgs_direction(grad, pairs):
 
 def minimize_functional(problem: StationaryProblem, grid: Grid1D,
                         init: Tuple[ScalarField, ScalarField],
-                        max_iter: int = 200_000, tol: float = 1e-15,
-                        floor: float = DENSITY_FLOOR) -> MinimizeResult:
+                        max_iter: int = 200_000, tol: float = 1e-15
+                        ) -> MinimizeResult:
     """Projected L-BFGS descent on the discrete robustness objective.
 
     The descent runs in the amplitude a = sqrt(P) and the action S, the
@@ -373,13 +374,13 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     2 a times its gradient in P.
 
     Each step moves (a, S) along a search direction, clamps a to
-    sqrt(floor), rescales it to h * sum a^2 = 1 and clamps again, so every
-    iterate keeps all nodes in the 1/P terms; S is unconstrained.  The
+    sqrt(DENSITY_FLOOR), rescales it to h * sum a^2 = 1 and clamps again, so
+    every iterate keeps all nodes in the 1/P terms; S is unconstrained.  The
     returned density is a^2, renormalised once more, exactly.  The
     direction is the limited-memory quasi-Newton one built from the last
     ``LBFGS_MEMORY`` steps (Liu & Nocedal 1989).  The step length starts at
     1, is capped by a ratio test that keeps a interior (at most 90% of the
-    smallest a/|direction| ratio among shrinking nodes above sqrt(floor)),
+    smallest a/|direction| ratio among shrinking nodes above the clamp),
     and is halved until the objective strictly decreases, so the returned
     value history is monotone nonincreasing.
 
@@ -402,8 +403,8 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     h = g.spacing
     w = trapezoid_weights(n, h)
     v = problem.potential.values
-    root_floor = math.sqrt(floor)
-    if root_floor * root_floor < floor:  # a clamped node must square to it
+    root_floor = math.sqrt(DENSITY_FLOOR)
+    if root_floor * root_floor < DENSITY_FLOOR:  # a clamped node squares to it
         root_floor = math.nextafter(root_floor, math.inf)
 
     def project(a):
@@ -417,7 +418,7 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         a = x[:n]
         value, grad_p, grad_s = _discrete_objective_and_gradient(
             a * a, x[n:], v, problem.energy, problem.mass, problem.lam, h, w,
-            floor)
+            DENSITY_FLOOR)
         return value, np.concatenate((2.0 * a * grad_p, grad_s))
 
     def descend(x, value, direction):
@@ -470,8 +471,8 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         if decrease < tol * max(1.0, abs(value)):
             converged = True
             break
-    # the second clamp in project() can add up to (x_max - x_min) * floor of
-    # mass; the returned density is renormalised exactly
+    # the second clamp in project() can add up to (x_max - x_min) *
+    # DENSITY_FLOOR of mass; the returned density is renormalised exactly
     density = x[:n] * x[:n]
     density /= h * density.sum()
     return MinimizeResult(

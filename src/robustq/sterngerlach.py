@@ -61,9 +61,8 @@ def sg_family(branch_sign: int = 1):
 
 
 def sg_table_from_angle(theta: float, branch_sign: int = 1) -> OutcomeTable:
-    return OutcomeTable.from_generator(
-        sg_family(branch_sign), [theta], SG_OUTCOMES,
-        condition_tag=f"deflection:branch{branch_sign:+d}")
+    return OutcomeTable.from_generator(sg_family(branch_sign), [theta],
+                                       SG_OUTCOMES)
 
 
 def sg_table(setting: MagnetSetting) -> OutcomeTable:

@@ -770,6 +770,16 @@ class TestRangeChecks:
          "parameters.potential"),
         ("tise-minimize", {"x_min": -1e308, "x_max": 1e308},
          "parameters.x_max"),
+        ("tdse-run", {"t_final": 0.01, "scalar_potential": {
+            "kind": "harmonic", "omega": 1e200}},
+         "parameters.scalar_potential"),
+        ("tdse-run", {"t_final": 0.01, "vector_potential": {
+            "kind": "harmonic", "omega": 1e200}},
+         "parameters.vector_potential"),
+        # hbar^2 underflows to 0 or overflows: lambda = 4 / hbar^2 is undefined
+        ("tise-solve", {"hbar": 1e-300}, "physics.hbar"),
+        ("tise-solve", {"hbar": 5e-324}, "physics.hbar"),
+        ("tise-solve", {"hbar": 1e308}, "physics.hbar"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)

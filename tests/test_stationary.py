@@ -61,10 +61,13 @@ class TestContinuumFisher:
         assert wide == pytest.approx(narrow / 4.0, abs=1e-3)
 
     def test_all_nodes_excluded_raises(self):
-        grid = grid_on(0, 1, 11)
-        density = gaussian_density(grid, 0.3, center=0.5)
+        # a uniform density on [0, 1e13] is about 9e-14 at every node,
+        # below DENSITY_FLOOR
+        grid = grid_on(0.0, 1e13, 11)
+        density = ScalarField(grid, np.full(11, 1.0 / (11 * grid.spacing)),
+                              kind="density")
         with pytest.raises(DomainError):
-            continuum_fisher(density, floor=1e3)
+            continuum_fisher(density)
 
 
 class TestHjeResidual:

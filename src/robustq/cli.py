@@ -33,8 +33,7 @@ import numpy as np
 from . import __version__
 from . import dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
-from .grid import (DENSITY_FLOOR, Grid1D, ScalarField, WaveField, _dot,
-                   normalized_wave)
+from .grid import Grid1D, ScalarField, WaveField, _dot, normalized_wave
 
 THREADS_ENV = "ROBUSTQ_THREADS"
 
@@ -234,15 +233,33 @@ def _check_value(value, field: Field, path: str, diags: list):
     return value
 
 
+def _check_kinetic(phys: dict, p: dict, diags: list) -> None:
+    """The stationary grid Hamiltonian couples neighbours with the kinetic
+    coefficient 2 / (m lambda) / h^2 and holds twice it on its diagonal;
+    either overflowing, or the coefficient vanishing, leaves no usable
+    kinetic term."""
+    lam = phys.get("lambda", 4.0 / phys["hbar"] ** 2)
+    h = (p["x_max"] - p["x_min"]) / (p["n_points"] - 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        kinetic = float(2.0 / np.float64(phys["mass"] * lam)
+                        / np.float64(h) ** 2)
+    if not 0.0 < 2.0 * kinetic < math.inf:
+        diags.append(f"physics: the kinetic coefficient 2 / (mass * lambda) "
+                     f"/ h^2 must be positive, and twice it finite; got "
+                     f"{kinetic!r} at mass = {phys['mass']!r}, lambda = "
+                     f"{lam!r}, h = {h!r}")
+
+
 def _check_relations(top: dict, diags: list) -> None:
     """The rules that span keys, run once every key is valid on its own.
     Where the library owns a rule, it is asked rather than restated."""
     phys, p = top["physics"], top["parameters"]
     budgets = []  # (key path, what the run needs, budget, unit)
     lam = phys.get("lambda")
-    if not 0.0 < phys["hbar"] * phys["hbar"] < math.inf:
-        diags.append(f"physics.hbar: hbar^2 must be nonzero and finite; "
-                     f"got hbar = {phys['hbar']!r}")
+    hbar_sq = phys["hbar"] * phys["hbar"]
+    if not (0.0 < hbar_sq < math.inf and 4.0 / hbar_sq < math.inf):
+        diags.append(f"physics.hbar: hbar^2 and lambda = 4 / hbar^2 must be "
+                     f"nonzero and finite; got hbar = {phys['hbar']!r}")
     elif phys["default_units"] and lam is not None \
             and abs(lam - 4.0 / phys["hbar"] ** 2) > 1e-9:
         diags.append(f"physics.lambda: {lam!r} inconsistent with hbar="
@@ -260,6 +277,9 @@ def _check_relations(top: dict, diags: list) -> None:
         diags.append(f"parameters.x_max: must lie a finite distance from "
                      f"parameters.x_min ({p['x_min']!r}); got {p['x_max']!r}")
     else:
+        # tise-solve and tise-minimize, once hbar has passed its rule
+        if "potential" in p and not diags:
+            _check_kinetic(phys, p, diags)
         for key in ("potential", "scalar_potential", "vector_potential"):
             for x in (p["x_min"], p["x_max"]) if key in p else ():
                 value = _potential_at(p[key], x)
@@ -689,10 +709,10 @@ _MIN_LEVEL_NODES = 33
 def _interpolated_start(density: ScalarField, action: ScalarField,
                         grid: Grid1D):
     """A coarser level's (density, action) carried to ``grid``: sqrt(P) and
-    S interpolated linearly, P floored and renormalised to h * sum P = 1."""
+    S interpolated linearly, P renormalised to h * sum P = 1."""
     x_from, x_to = density.grid.nodes(), grid.nodes()
     amplitude = np.interp(x_to, x_from, np.sqrt(density.values))
-    p = np.maximum(amplitude * amplitude, DENSITY_FLOOR)
+    p = amplitude * amplitude
     p /= grid.spacing * p.sum()
     return (ScalarField(grid, p, kind="density"),
             ScalarField(grid, np.interp(x_to, x_from, action.values),

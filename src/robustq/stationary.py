@@ -15,15 +15,18 @@ psi = sqrt(P) exp(i S sqrt(lambda) / 2) turns F into the quadratic form
 whose extrema solve the linear stationary wave equation
 -psi'' + (m lambda / 2)(V - E) psi = 0.  With lambda = 4 / hbar^2 that is
 the time-independent Schroedinger equation.  The module provides both
-routes: a symmetric tridiagonal eigensolver for the linear form and a
-projected L-BFGS minimiser for the nonlinear form, so each cross-checks
-the other.
+routes: a symmetric tridiagonal eigensolver for the linear form and an
+L-BFGS minimiser for the nonlinear form, so each cross-checks the other.
 
 Discretisation: second-order central differences (first-order one-sided at
 the two edge nodes), trapezoidal quadrature, Dirichlet-zero boundaries,
 node exclusion below ``DENSITY_FLOOR`` in 1/P terms, phase undefined
 below ``MODULUS_FLOOR``.  These floors and ``SHIFT_TOL`` are fixed module
-constants, not parameters.  Default units hbar = m = 1, lambda = 4.
+constants, not parameters.  The two routes share one discretisation: the
+eigensolver's 3-point second difference with walls at zero, which the
+minimiser reaches as the link form 4/h * sum (a_{i+1} - a_i)^2 of the
+Fisher term in the amplitude a = sqrt(P), zero on the walls.  Default
+units hbar = m = 1, lambda = 4.
 """
 
 from __future__ import annotations
@@ -302,7 +305,7 @@ def shift_covariance_check(problem: StationaryProblem, grid: Grid1D,
 
 
 # ---------------------------------------------------------------------------
-# nonlinear route: projected L-BFGS descent on the discrete objective
+# nonlinear route: L-BFGS descent on the link-form objective
 # ---------------------------------------------------------------------------
 
 def _discrete_objective_and_gradient(p, s, v, energy, mass, lam, h, w, floor):
@@ -363,26 +366,25 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
                         init: Tuple[ScalarField, ScalarField],
                         max_iter: int = 200_000, tol: float = 1e-15
                         ) -> MinimizeResult:
-    """Projected L-BFGS descent on the discrete robustness objective.
+    """L-BFGS descent on the link form of the robustness objective.
 
-    The descent runs in the amplitude a = sqrt(P) and the action S, the
-    substitution that turns the Fisher term integral (P')^2 / P into the
-    quadratic form 4 integral (a')^2.  In P itself the 1/P weights make the
-    problem badly conditioned, and the descent needs an order of magnitude
-    more iterations.  The objective is still the one of
-    ``_discrete_objective_and_gradient`` at P = a^2, whose gradient in a is
-    2 a times its gradient in P.
+    The descent runs in the amplitude a = sqrt(P), held at a = 0 on both
+    walls as in ``solve_eigen``, and the action S.  The Fisher term is the
+    link form 4/h * sum (a_{i+1} - a_i)^2 of 4 integral (a')^2; the
+    lambda-term is ``_discrete_objective_and_gradient`` at P = a^2 with
+    every node out of its 1/P terms, lambda * sum w [(S')^2 + 2 m (V - E)] P,
+    whose gradient in a is 2 a times its gradient in P.  At S = 0 the
+    objective is 2 m lambda h * a^T (H - E) a, with H the matrix
+    ``solve_eigen`` factors, so at its eigen energy the optimum is about 0
+    and the minimiser's density is the eigensolver's.
 
-    Each step moves (a, S) along a search direction, clamps a to
-    sqrt(DENSITY_FLOOR), rescales it to h * sum a^2 = 1 and clamps again, so
-    every iterate keeps all nodes in the 1/P terms; S is unconstrained.  The
-    returned density is a^2, renormalised once more, exactly.  The
-    direction is the limited-memory quasi-Newton one built from the last
-    ``LBFGS_MEMORY`` steps (Liu & Nocedal 1989).  The step length starts at
-    1, is capped by a ratio test that keeps a interior (at most 90% of the
-    smallest a/|direction| ratio among shrinking nodes above the clamp),
-    and is halved until the objective strictly decreases, so the returned
-    value history is monotone nonincreasing.
+    Each step moves (a, S) along a search direction and rescales a to
+    h * sum a^2 = 1; P = a^2 needs no positivity constraint.  The returned
+    density is a^2, renormalised once more, exactly.  The direction is the
+    limited-memory quasi-Newton one built from the last ``LBFGS_MEMORY``
+    steps (Liu & Nocedal 1989).  The step length starts at 1 and is halved
+    until the objective strictly decreases, so the returned value history
+    is monotone nonincreasing.
 
     When the quasi-Newton direction is not a descent direction, or no
     halving of it decreases the objective, the memory is dropped and the
@@ -391,9 +393,9 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     one iteration lowers the objective by less than ``tol * max(1, |F|)``
     with F the new value (so the test is absolute while |F| < 1, as at
     the CLI defaults, and relative above), when that gradient step finds
-    no float-representable decrease (a stationary point of the projected
-    problem), or at ``max_iter``; only the last case reports
-    ``converged=False`` with the best iterate.
+    no float-representable decrease (a stationary point on the sphere),
+    or at ``max_iter``; only the last case reports ``converged=False``
+    with the best iterate.
     """
     density0, action0 = init
     g = _require_shared_grid(density0, action0, problem.potential)
@@ -403,32 +405,27 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     h = g.spacing
     w = trapezoid_weights(n, h)
     v = problem.potential.values
-    root_floor = math.sqrt(DENSITY_FLOOR)
-    if root_floor * root_floor < DENSITY_FLOOR:  # a clamped node squares to it
-        root_floor = math.nextafter(root_floor, math.inf)
 
     def project(a):
-        # the second clamp keeps rescaling from leaving a clamped node just
-        # below the floor: there it would drop out of the 1/P terms, and the
-        # objective would jump up at any step that lifts it back
-        a = np.maximum(a, root_floor)
-        return np.maximum(a / math.sqrt(h * float(_dot(a, a))), root_floor)
+        a[0] = a[-1] = 0.0
+        return a / math.sqrt(h * float(_dot(a, a)))
 
     def evaluate(x):
         a = x[:n]
         value, grad_p, grad_s = _discrete_objective_and_gradient(
             a * a, x[n:], v, problem.energy, problem.mass, problem.lam, h, w,
-            DENSITY_FLOOR)
-        return value, np.concatenate((2.0 * a * grad_p, grad_s))
+            math.inf)
+        da = np.diff(a)
+        grad_a = 2.0 * a * grad_p
+        grad_a[:-1] -= (8.0 / h) * da
+        grad_a[1:] += (8.0 / h) * da
+        grad_a[0] = grad_a[-1] = 0.0
+        return (value + (4.0 / h) * float(_dot(da, da)),
+                np.concatenate((grad_a, grad_s)))
 
     def descend(x, value, direction):
-        """First halving of the capped step that lowers the objective."""
-        a, da = x[:n], direction[:n]
+        """First halving of the unit step that lowers the objective."""
         step = 1.0
-        shrinking = (da < 0) & (a > root_floor)
-        if shrinking.any():
-            step = min(step, 0.9 * float(np.min(a[shrinking]
-                                                / -da[shrinking])))
         for _ in range(100):
             x_new = x + step * direction
             x_new[:n] = project(x_new[:n])
@@ -471,8 +468,6 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         if decrease < tol * max(1.0, abs(value)):
             converged = True
             break
-    # the second clamp in project() can add up to (x_max - x_min) *
-    # DENSITY_FLOOR of mass; the returned density is renormalised exactly
     density = x[:n] * x[:n]
     density /= h * density.sum()
     return MinimizeResult(

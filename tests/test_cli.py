@@ -585,10 +585,11 @@ class TestMinimizeRun:
         summary = np.genfromtxt(tmp_path / "summary.csv", delimiter=",",
                                 names=True)
         assert summary["converged"] == 1
-        assert summary["sup_diff_vs_eigen"] <= 1e-3
+        assert summary["sup_diff_vs_eigen"] <= 1e-6
+        assert abs(summary["objective"]) <= 1e-10
         x, density = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
                                 skiprows=1, usecols=(0, 1), unpack=True)
-        assert density.min() >= 1e-12
+        assert density[0] == 0.0 and density[-1] == 0.0  # Dirichlet walls
         h = (x[-1] - x[0]) / (x.size - 1)
         assert abs(h * density.sum() - 1.0) <= 1e-13
 
@@ -599,19 +600,32 @@ class TestMinimizeRun:
         return np.genfromtxt(tmp_path / "summary.csv", delimiter=",",
                              names=True)
 
-    # objectives of the single-level solve these configs had before the
-    # coarse levels; the nested one reaches the same optimum
-    @pytest.mark.parametrize("params,most,objective", [
-        ({}, 180, -9.552832497448280e-04),
-        ({"n_points": 401}, 450, -1.462682697456312e-03),
+    # on one grid these configs take 163 and 534 iterations; the nested
+    # solve reaches the same optimum, the eigenstate at objective 0
+    @pytest.mark.parametrize("params,most", [
+        ({}, 180),
+        ({"n_points": 401}, 450),
     ], ids=["defaults", "401-nodes"])
-    def test_coarse_levels_cut_iterations(self, params, most, objective,
-                                          tmp_path):
+    def test_coarse_levels_cut_iterations(self, params, most, tmp_path):
         summary = self.summary(tmp_path, **params)
         assert summary["iterations"] <= most
         assert summary["converged"] == 1
-        assert summary["sup_diff_vs_eigen"] <= 1e-3
-        assert abs(summary["objective"] - objective) <= 1e-12
+        assert summary["sup_diff_vs_eigen"] <= 1e-6
+        assert abs(summary["objective"]) <= 1e-10
+
+    @pytest.mark.parametrize("potential", [
+        {"kind": "box"}, {"kind": "zero"}, {"kind": "linear", "slope": 1.0},
+    ], ids=["box", "zero", "linear-slope-1"])
+    def test_agrees_with_eigen_where_the_state_meets_the_walls(
+            self, potential, tmp_path):
+        # these ground states keep weight next to a wall, where a minimiser
+        # with free wall nodes settles on a different state
+        summary = self.summary(tmp_path, potential=potential)
+        assert summary["converged"] == 1
+        assert summary["sup_diff_vs_eigen"] <= 1e-6
+        density = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
+                             skiprows=1, usecols=1)
+        assert density[0] == 0.0 and density[-1] == 0.0
 
     @pytest.mark.parametrize("max_iter", [1, 5, 60])
     def test_max_iter_bounds_the_total(self, max_iter, tmp_path):
@@ -780,6 +794,8 @@ class TestRangeChecks:
         ("tise-solve", {"hbar": 1e-300}, "physics.hbar"),
         ("tise-solve", {"hbar": 5e-324}, "physics.hbar"),
         ("tise-solve", {"hbar": 1e308}, "physics.hbar"),
+        # hbar^2 is a finite subnormal, but lambda = 4 / hbar^2 overflows
+        ("tise-solve", {"hbar": 1e-160}, "physics.hbar"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)
@@ -793,6 +809,27 @@ class TestRangeChecks:
             assert main([command[0], "--config", str(path)]
                         + command[1:]) == 2
             assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["tise-solve", "tise-minimize"])
+    @pytest.mark.parametrize("physics,value", [
+        ({"hbar": 1e154}, "got inf at mass = 1.0, lambda = 4e-308"),
+        ({"mass": 5e-324}, "got inf at mass = 5e-324, lambda = 4.0"),
+    ], ids=["hbar-1e154", "mass-5e-324"])
+    def test_overflowing_kinetic_coefficient_refused(self, experiment,
+                                                     physics, value,
+                                                     tmp_path, capsys):
+        # 2 / (m lambda) / h^2 overflows, though m and lambda are finite
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"experiment": experiment,
+                                    "physics": physics}))
+        for command in (["validate"], ["run", "--output-dir",
+                                       str(tmp_path / "out")]):
+            assert main([command[0], "--config", str(path)]
+                        + command[1:]) == 2
+            err = capsys.readouterr().err
+            assert "physics: the kinetic coefficient" in err
+            assert value in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment,params", [

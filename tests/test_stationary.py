@@ -430,21 +430,23 @@ class TestMinimizeFunctional:
         assert np.max(np.abs(result.density.values
                              - ground.density_values())) <= 1e-3
 
-    @pytest.mark.parametrize("potential,reference", [
-        (lambda x: 0.5 * 2.0 ** 2 * x ** 2, 8.8714),
-        (lambda x: 1.0 * x, -2.4361),
+    @pytest.mark.parametrize("potential", [
+        lambda x: 0.5 * 2.0 ** 2 * x ** 2,
+        lambda x: 1.0 * x,
     ], ids=["harmonic-omega-2", "linear-slope-1"])
-    def test_hard_potentials_beat_long_gradient_runs(self, potential,
-                                                     reference):
-        # reference: the objective that projected Barzilai-Borwein gradient
-        # descent reaches after 200,000 iterations from the same start; the
-        # quasi-Newton minimiser must get at least as low in 3,000
-        grid, problem, _, init = self.setup_problem(potential=potential)
+    def test_hard_potentials_beat_long_gradient_runs(self, potential):
+        # a steep well and a tilted one, on which projected Barzilai-Borwein
+        # descent ran 200,000 iterations; the quasi-Newton minimiser must
+        # reach the eigenstate, whose objective at its own energy is 0,
+        # within 3,000
+        grid, problem, ground, init = self.setup_problem(potential=potential)
         result = minimize_functional(problem, grid, init, max_iter=3000)
         assert result.converged
-        assert result.value <= reference
+        assert abs(result.value) <= 1e-10
         assert np.all(np.diff(result.history) <= 0)
-        assert result.density.values.min() >= 1e-12
+        density = result.density.values
+        assert density[0] == 0.0 and density[-1] == 0.0
+        assert np.max(np.abs(density - ground.density_values())) <= 1e-6
 
     def test_history_is_monotone(self):
         grid, problem, _, init = self.setup_problem(n=81, half_width=3.0)
@@ -469,9 +471,9 @@ class TestMinimizeFunctional:
         assert result.iterations == 5
 
     def test_wide_domain_at_the_floor_returns_a_normalised_density(self):
-        # on [-1000, 1000] the floor nodes hold 2e-9 of mass, so the clamp
-        # after renormalising moves h * sum P off 1 by more than the 1e-10
-        # a density field accepts unless the result is renormalised
+        # on [-1000, 1000] the start's 1e-12 tail nodes hold 2e-9 of mass;
+        # after one or two steps the returned density must still carry
+        # h * sum P = 1 to rounding, which the final renormalisation keeps
         grid = grid_on(-1000.0, 1000.0, 2001)
         x = grid.nodes()
         field = ScalarField(grid, 0.5 * x ** 2, kind="potential")

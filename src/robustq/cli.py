@@ -33,7 +33,8 @@ import numpy as np
 from . import __version__
 from . import dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
-from .grid import Grid1D, ScalarField, WaveField, _dot, normalized_wave
+from .grid import (Grid1D, ScalarField, WaveField, _dot, kinetic_bands,
+                   normalized_wave)
 
 THREADS_ENV = "ROBUSTQ_THREADS"
 
@@ -45,7 +46,6 @@ class Physics:
     lam: float
     charge: float
     light_speed: float
-    default_units: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +127,9 @@ _CHI = Field(dict, {"kind": "x_sin_t"}, kinds={
 _PHYSICS = {
     "hbar": Field(float, 1.0, above=0),
     "mass": Field(float, 1.0, above=0),
-    "lambda": Field(float, None, above=0),  # unset: 4 / hbar^2
     "charge": Field(float, 1.0),
     "light_speed": Field(float, 1.0, above=0),
-    "default_units": Field(bool, True),
-}
+}  # lambda is always 4 / hbar^2
 _TOP = {
     "experiment": Field(str),
     "physics": Field(dict, {}, fields=_PHYSICS),
@@ -234,20 +232,15 @@ def _check_value(value, field: Field, path: str, diags: list):
 
 
 def _check_kinetic(phys: dict, p: dict, diags: list) -> None:
-    """The stationary grid Hamiltonian couples neighbours with the kinetic
-    coefficient 2 / (m lambda) / h^2 and holds twice it on its diagonal;
-    either overflowing, or the coefficient vanishing, leaves no usable
-    kinetic term."""
-    lam = phys.get("lambda", 4.0 / phys["hbar"] ** 2)
+    """The grid Hamiltonian of all four grid experiments holds 2c/h^2 on its
+    diagonal; that overflowing, or vanishing, leaves no kinetic term."""
     h = (p["x_max"] - p["x_min"]) / (p["n_points"] - 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        kinetic = float(2.0 / np.float64(phys["mass"] * lam)
-                        / np.float64(h) ** 2)
-    if not 0.0 < 2.0 * kinetic < math.inf:
-        diags.append(f"physics: the kinetic coefficient 2 / (mass * lambda) "
-                     f"/ h^2 must be positive, and twice it finite; got "
-                     f"{kinetic!r} at mass = {phys['mass']!r}, lambda = "
-                     f"{lam!r}, h = {h!r}")
+    _, diag, _ = kinetic_bands(phys["mass"], 4.0 / phys["hbar"] ** 2, h)
+    if not 0.0 < diag < math.inf:
+        diags.append(f"physics: the kinetic coefficient c = hbar^2 / 2m must "
+                     f"give a positive, finite 2c/h^2; got {float(diag)!r} "
+                     f"at hbar = {phys['hbar']!r}, mass = {phys['mass']!r}, "
+                     f"h = {h!r}")
 
 
 def _check_relations(top: dict, diags: list) -> None:
@@ -255,16 +248,10 @@ def _check_relations(top: dict, diags: list) -> None:
     Where the library owns a rule, it is asked rather than restated."""
     phys, p = top["physics"], top["parameters"]
     budgets = []  # (key path, what the run needs, budget, unit)
-    lam = phys.get("lambda")
     hbar_sq = phys["hbar"] * phys["hbar"]
     if not (0.0 < hbar_sq < math.inf and 4.0 / hbar_sq < math.inf):
         diags.append(f"physics.hbar: hbar^2 and lambda = 4 / hbar^2 must be "
                      f"nonzero and finite; got hbar = {phys['hbar']!r}")
-    elif phys["default_units"] and lam is not None \
-            and abs(lam - 4.0 / phys["hbar"] ** 2) > 1e-9:
-        diags.append(f"physics.lambda: {lam!r} inconsistent with hbar="
-                     f"{phys['hbar']!r}; default units require lambda = "
-                     "4 / hbar^2 (set default_units false to override)")
     if "theta_start" in p \
             and not math.isfinite(p["theta_stop"] - p["theta_start"]):
         diags.append(f"parameters.theta_stop: must lie a finite distance "
@@ -277,8 +264,7 @@ def _check_relations(top: dict, diags: list) -> None:
         diags.append(f"parameters.x_max: must lie a finite distance from "
                      f"parameters.x_min ({p['x_min']!r}); got {p['x_max']!r}")
     else:
-        # tise-solve and tise-minimize, once hbar has passed its rule
-        if "potential" in p and not diags:
+        if "x_min" in p and not diags:  # once hbar has passed its rule
             _check_kinetic(phys, p, diags)
         for key in ("potential", "scalar_potential", "vector_potential"):
             for x in (p["x_min"], p["x_max"]) if key in p else ():
@@ -357,12 +343,10 @@ def validate_config(raw) -> RunConfig:
         _check_relations(top, diags)
     if diags:
         raise ConfigError(diags)
-    phys = dict(top["physics"])
-    lam = phys.pop("lambda", None)
-    physics = Physics(lam=4.0 / phys["hbar"] ** 2 if lam is None else lam,
-                      **phys)
+    phys = top["physics"]
     return RunConfig(experiment=experiment, parameters=top["parameters"],
-                     physics=physics, seed=top.get("seed"),
+                     physics=Physics(lam=4.0 / phys["hbar"] ** 2, **phys),
+                     seed=top.get("seed"),
                      output_dir=top["output_dir"])
 
 
@@ -677,8 +661,7 @@ def _stationary_problem(config: RunConfig, grid: Grid1D, energy: float = 0.0):
     potential = build_potential(config.parameters["potential"], grid)
     phys = config.physics
     return stationary.StationaryProblem(potential=potential, energy=energy,
-                                        mass=phys.mass, hbar=phys.hbar,
-                                        lam=phys.lam)
+                                        mass=phys.mass, hbar=phys.hbar)
 
 
 def _run_tise_solve(config: RunConfig):
@@ -776,7 +759,7 @@ def _propagator(config: RunConfig, grid: Grid1D, sample_stride: int):
     return dynamic.PropagatorConfig(grid=grid, dt=params["dt"],
                                     t_final=params["t_final"],
                                     mass=phys.mass, hbar=phys.hbar,
-                                    lam=phys.lam, sample_stride=sample_stride)
+                                    sample_stride=sample_stride)
 
 
 def _run_tdse(config: RunConfig):

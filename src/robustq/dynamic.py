@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LinearSolveError, PhaseUndefinedError, StabilityError
-from .grid import Grid1D, ScalarField, WaveField, gradient, trapezoid
+from .grid import (Grid1D, ScalarField, WaveField, gradient, kinetic_bands,
+                   trapezoid)
 from .stationary import _phase_action, continuum_fisher
 
 _CHI_STEP = 6e-6  # relative central-difference step for gauge functions
@@ -83,7 +84,7 @@ class PropagatorConfig:
     t_final: float
     mass: float = 1.0
     hbar: float = 1.0
-    lam: Optional[float] = None
+    lam: Optional[float] = None  # always 4 / hbar^2; None fills it in
     sample_stride: int = 10
 
     def __post_init__(self):
@@ -93,8 +94,9 @@ class PropagatorConfig:
             raise ValueError("t_final must be nonnegative")
         if self.mass <= 0 or self.hbar <= 0:
             raise ValueError("mass and hbar must be positive")
-        if self.lam is None:
-            object.__setattr__(self, "lam", 4.0 / self.hbar ** 2)
+        if self.lam not in (None, 4.0 / self.hbar ** 2):
+            raise ValueError("lam must be 4 / hbar^2")
+        object.__setattr__(self, "lam", 4.0 / self.hbar ** 2)
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         if not whole_steps(self.t_final, self.dt):
@@ -164,24 +166,23 @@ class _CNOperator(NamedTuple):
     lu: Optional[tuple]
 
 
-def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
-                 v: np.ndarray, dt: float, mass: float,
-                 hbar: float) -> _CNOperator:
+def _cn_operator(fields: GaugeField, a: np.ndarray, v: np.ndarray,
+                 config: PropagatorConfig) -> _CNOperator:
     """The operator of the tridiagonal H on the interior nodes, from A at
-    the link midpoints (``a``) and V at the nodes (``v``)."""
-    h = grid.spacing
-    kin = hbar ** 2 / (2.0 * mass)
+    the link midpoints (``a``) and V at the nodes (``v``): the real bands
+    of :func:`grid.kinetic_bands`, the off-diagonal times the link phases."""
+    h, hbar = config.grid.spacing, config.hbar
+    _, diag, off = kinetic_bands(config.mass, config.lam, h, v)
     link_phase = (fields.charge / (hbar * fields.light_speed)) * h * a
-    diag = (2.0 * kin / h ** 2 + v).astype(complex)
-    r = 0.5j * dt / hbar
+    r = 0.5j * config.dt / hbar
     n = diag.size
     # conj(hop) is exp(+1j * link_phase) up to the sign of a zero imaginary
     # part (at link_phase -0.0), which no result depends on
     hop = np.exp(-1j * link_phase)
     bands = np.zeros((3, n), dtype=complex)
-    bands[0, 1:] = r * (-(kin / h ** 2) * hop)
+    bands[0, 1:] = r * (off * hop)
     bands[1, :] = 1.0 + r * diag
-    bands[2, :-1] = r * (-(kin / h ** 2) * np.conj(hop))
+    bands[2, :-1] = r * (off * np.conj(hop))
     lu = None
     if n >= 3:
         # gttrf + gttrs make the same eliminations as solve_banded's gtsv
@@ -195,9 +196,8 @@ def _cn_operator(grid: Grid1D, fields: GaugeField, a: np.ndarray,
     return _CNOperator(1.0 - r * diag, bands, lu)
 
 
-def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
-             t_mid: float, dt: float, mass: float, hbar: float,
-             cache: dict) -> np.ndarray:
+def _cn_step(interior: np.ndarray, fields: GaugeField, t_mid: float,
+             config: PropagatorConfig, cache: dict) -> np.ndarray:
     """One Crank-Nicolson step of the interior nodes.
 
     ``cache`` is a dict owned by one propagation.  It holds the interior
@@ -213,7 +213,7 @@ def _cn_step(interior: np.ndarray, grid: Grid1D, fields: GaugeField,
     if cache.get("bits") == bits:
         op = cache["operator"]
     else:
-        op = _cn_operator(grid, fields, a, v, dt, mass, hbar)
+        op = _cn_operator(fields, a, v, config)
         cache.update(bits=bits, operator=op)
     rhs = op.explicit * interior
     rhs[:-1] -= op.bands[0, 1:] * interior[1:]
@@ -272,8 +272,8 @@ def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
         if step == n_steps:
             break
         nxt = np.zeros_like(current)
-        nxt[1:-1] = _cn_step(current[1:-1], grid, fields, t + 0.5 * config.dt,
-                             config.dt, config.mass, config.hbar, cache)
+        nxt[1:-1] = _cn_step(current[1:-1], fields, t + 0.5 * config.dt,
+                             config, cache)
         if sampled and step > 0:
             rows[-1][-1] = _hje_residual_triplet(
                 grid, previous, current, nxt, config.dt, fields, t, config)

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .grid import (DENSITY_FLOOR, MODULUS_FLOOR, Grid1D, ScalarField,
-                   WaveField, _dot, gradient, gradient_adjoint, trapezoid,
-                   trapezoid_weights)
+                   WaveField, _dot, gradient, gradient_adjoint, kinetic_bands,
+                   trapezoid, trapezoid_weights)
 
 DEFAULT_HBAR = 1.0
 DEFAULT_MASS = 1.0
@@ -53,8 +53,8 @@ SHIFT_TOL = 1e-10  # largest gap shift_covariance_check lets pass
 class StationaryProblem:
     """Potential, trial energy, and physical constants of a stationary solve.
 
-    ``lam`` left as None selects default units, lam = 4 / hbar^2, the value
-    that ties the quadratic form to the physical energy scale.
+    ``lam`` left as None is 4 / hbar^2.  Both routes read only lambda and
+    m, so any other ``lam`` is the problem at hbar = 2 / sqrt(lam).
     """
 
     potential: ScalarField
@@ -241,9 +241,8 @@ def solve_eigen(problem: StationaryProblem, grid: Grid1D,
     if not 1 <= n_states <= n - 2:
         raise ValueError("need 1 <= n_states <= n_points - 2")
     h = grid.spacing
-    coeff = 2.0 / (problem.mass * problem.lam)
-    diag = 2.0 * coeff / h ** 2 + problem.potential.values[1:-1]
-    off = np.full(n - 3, -coeff / h ** 2)
+    _, diag, off = kinetic_bands(problem.mass, problem.lam, h,
+                                 problem.potential.values[1:-1])
     # Imported at the call, not with the module: only the grid solvers use
     # scipy, and loading it costs a process about 0.27 s and 24 MB.  Loading
     # it earlier in a grid run, at the top of cli.run, left the grid
@@ -252,7 +251,8 @@ def solve_eigen(problem: StationaryProblem, grid: Grid1D,
     from scipy.linalg import eigh_tridiagonal
     try:
         energies, vectors = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, n_states - 1))
+            diag, np.full(n - 3, off), select="i",
+            select_range=(0, n_states - 1))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
 
@@ -395,7 +395,8 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     the CLI defaults, and relative above), when that gradient step finds
     no float-representable decrease (a stationary point on the sphere),
     or at ``max_iter``; only the last case reports ``converged=False``
-    with the best iterate.
+    with the best iterate.  An objective or gradient that is not finite at
+    the start or at an accepted step raises ConvergenceError.
     """
     density0, action0 = init
     g = _require_shared_grid(density0, action0, problem.potential)
@@ -423,6 +424,12 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         return (value + (4.0 / h) * float(_dot(da, da)),
                 np.concatenate((grad_a, grad_s)))
 
+    def finite(value, grad):  # a NaN never reads as a decrease
+        if math.isfinite(value) and np.isfinite(grad).all():
+            return value, grad
+        raise ConvergenceError(f"objective {value!r} or its gradient is "
+                               "not finite")
+
     def descend(x, value, direction):
         """First halving of the unit step that lowers the objective."""
         step = 1.0
@@ -431,12 +438,12 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
             x_new[:n] = project(x_new[:n])
             value_new, grad_new = evaluate(x_new)
             if value_new < value:
-                return x_new, value_new, grad_new
+                return (x_new, *finite(value_new, grad_new))
             step *= 0.5
         return None
 
     x = np.concatenate((project(np.sqrt(density0.values)), action0.values))
-    value, grad = evaluate(x)
+    value, grad = finite(*evaluate(x))
     history = [value]
     pairs = deque(maxlen=LBFGS_MEMORY)
     alpha = 1e-4

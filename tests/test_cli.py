@@ -54,15 +54,26 @@ class TestValidateConfig:
                    for d in err.value.diagnostics)
 
     def test_inconsistent_lambda_rejected_with_rule(self):
+        # lambda is always 4 / hbar^2, so it is no key of its own
         raw = minimal_simulate_config(physics={"hbar": 1.0, "lambda": 3.0})
         with pytest.raises(ConfigError) as err:
             validate_config(raw)
-        assert any("4 / hbar^2" in d for d in err.value.diagnostics)
+        assert err.value.diagnostics == ["physics.lambda: unknown key"]
 
     def test_lambda_override_with_flag(self):
         raw = minimal_simulate_config(
             physics={"hbar": 1.0, "lambda": 3.0, "default_units": False})
-        assert validate_config(raw).physics.lam == 3.0
+        with pytest.raises(ConfigError) as err:
+            validate_config(raw)
+        assert err.value.diagnostics == [
+            "physics.lambda: unknown key",
+            "physics.default_units: unknown key"]
+
+    def test_lambda_follows_hbar(self):
+        config = validate_config(minimal_simulate_config(
+            physics={"hbar": 2.0}))
+        assert config.physics.lam == 1.0
+        assert not hasattr(config.physics, "default_units")
 
     def test_missing_seed_rejected_for_stochastic(self):
         raw = minimal_simulate_config()
@@ -627,6 +638,24 @@ class TestMinimizeRun:
                              skiprows=1, usecols=1)
         assert density[0] == 0.0 and density[-1] == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bound", [{"x_min": -1e154}, {"x_max": 1e154}],
+                             ids=["x_min", "x_max"])
+    def test_non_finite_objective_is_an_error(self, bound, tmp_path, capsys):
+        # the objective overflows to NaN, which once ended the descent as
+        # converged beside objective nan
+        raw = {"experiment": "tise-minimize",
+               "parameters": {"n_points": 101, **bound}}
+        manifest = run(raw, output_dir=str(tmp_path / "run"))
+        assert (manifest.status, manifest.error) == ("error",
+                                                     "ConvergenceError")
+        assert not (tmp_path / "run" / "summary.csv").exists()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "main")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_iter", [1, 5, 60])
     def test_max_iter_bounds_the_total(self, max_iter, tmp_path):
         summary = self.summary(tmp_path, max_iter=max_iter)
@@ -651,6 +680,43 @@ class TestMinimizeRun:
             (ScalarField(grid, uniform, kind="density"),
              ScalarField(grid, np.zeros(61), kind="action")))
         assert np.array_equal(density, result.density.values)
+
+
+class TestHbarTwo:
+    """At hbar = 2 (lambda = 1) the grid routes still meet the criteria
+    that default units are held to."""
+
+    def test_tdse_run_meets_the_residual_identity(self, tmp_path):
+        # criterion 14: hje_residual = -Fisher / (2 m lambda)
+        run({"experiment": "tdse-run", "physics": {"hbar": 2.0},
+             "parameters": {"t_final": 1.0, "sample_stride": 100}},
+            output_dir=str(tmp_path))
+        trace = np.genfromtxt(tmp_path / "trace.csv", delimiter=",",
+                              names=True)
+        target = -trace["fisher_spatial"] / 2.0
+        inner = slice(1, -1)
+        rel = np.abs(trace["hje_residual"][inner] - target[inner]) \
+            / np.abs(target[inner])
+        assert rel.size == 9 and np.max(rel) < 1e-3
+
+    def test_gauge_check_refines_as_criterion_13_asks(self, tmp_path):
+        # criterion 13's grids: the wave difference within 1e-4, and both
+        # differences quartered when dt and h halve.  The density difference
+        # reads 1.37e-8 at dt = 1e-3 (4.8e-9 at hbar = 1), over criterion
+        # 13's 1e-8: the scheme's O(dt^2) error, so it holds at dt = 5e-4
+        coarse, fine = (
+            self.gauge(tmp_path / str(n), {"n_points": n, "dt": dt})
+            for n, dt in ((4001, 1e-3), (8001, 5e-4)))
+        assert coarse["wave_sup_diff_aligned"] <= 1e-4
+        assert fine["density_sup_diff"] <= 1e-8
+        for key in ("density_sup_diff", "wave_sup_diff_aligned"):
+            assert 3.5 <= coarse[key] / fine[key] <= 4.5
+
+    @staticmethod
+    def gauge(out, params):
+        run({"experiment": "gauge-check", "physics": {"hbar": 2.0},
+             "parameters": params}, output_dir=str(out))
+        return np.genfromtxt(out / "gauge.csv", delimiter=",", names=True)
 
 
 class TestBlasThreads:
@@ -710,7 +776,7 @@ class TestRangeChecks:
         ("tise-solve", {"hbar": 0}, "physics.hbar"),
         ("tise-solve", {"hbar": -1}, "physics.hbar"),
         ("tise-solve", {"mass": "x"}, "physics.mass"),
-        ("tise-solve", {"lambda": "x"}, "physics.lambda"),
+        ("tise-solve", {"lambda": 3.0}, "physics.lambda"),  # unknown key
         ("eprb-simulate", {"theta": 1.0, "trials": 0}, "parameters.trials"),
         ("sg-scan", {"trials": -5}, "parameters.trials"),
         ("eprb-scan", {"steps": -1, "trials": 100}, "parameters.steps"),
@@ -811,18 +877,21 @@ class TestRangeChecks:
             assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("experiment", ["tise-solve", "tise-minimize"])
+    @pytest.mark.parametrize("experiment", [
+        "tise-solve", "tise-minimize", "tdse-run", "gauge-check"])
     @pytest.mark.parametrize("physics,value", [
-        ({"hbar": 1e154}, "got inf at mass = 1.0, lambda = 4e-308"),
-        ({"mass": 5e-324}, "got inf at mass = 5e-324, lambda = 4.0"),
+        ({"hbar": 1e154}, "got inf at hbar = 1e+154, mass = 1.0"),
+        ({"mass": 5e-324}, "got inf at hbar = 1.0, mass = 5e-324"),
     ], ids=["hbar-1e154", "mass-5e-324"])
     def test_overflowing_kinetic_coefficient_refused(self, experiment,
                                                      physics, value,
                                                      tmp_path, capsys):
-        # 2 / (m lambda) / h^2 overflows, though m and lambda are finite
+        # 2c/h^2 with c = hbar^2 / 2m overflows, though hbar and m are finite
         path = tmp_path / "cfg.json"
+        params = {"t_final": 0.01} if experiment == "tdse-run" else {}
         path.write_text(json.dumps({"experiment": experiment,
-                                    "physics": physics}))
+                                    "physics": physics,
+                                    "parameters": params}))
         for command in (["validate"], ["run", "--output-dir",
                                        str(tmp_path / "out")]):
             assert main([command[0], "--config", str(path)]

@@ -34,6 +34,21 @@ def harmonic_ground(grid):
     return solve_eigen(problem, grid, 1)[0]
 
 
+class TestPropagatorConfig:
+    def test_lambda_follows_hbar(self):
+        grid = Grid1D.from_interval(-1, 1, 11)
+        assert PropagatorConfig(grid=grid, dt=0.1, t_final=0.1,
+                                hbar=2.0).lam == 1.0
+        assert PropagatorConfig(grid=grid, dt=0.1, t_final=0.1, hbar=2.0,
+                                lam=1.0).lam == 1.0
+
+    @pytest.mark.parametrize("lam", [3.0, math.nan])
+    def test_other_lambda_refused(self, lam):
+        grid = Grid1D.from_interval(-1, 1, 11)
+        with pytest.raises(ValueError, match="4 / hbar"):
+            PropagatorConfig(grid=grid, dt=0.1, t_final=0.1, lam=lam)
+
+
 class TestObservables:
     def test_gaussian_moments_and_fisher(self):
         grid = Grid1D.from_interval(-15, 15, 1501)
@@ -97,6 +112,22 @@ class TestStationaryState:
         assert np.max(np.abs(final.density_values()
                              - wave.density_values())) < 1e-6
         assert np.max(np.abs(trace.norm - 1.0)) <= 1e-10
+
+    def test_eigenstate_at_hbar_two_is_static(self):
+        # the eigensolver and the propagator build one Hamiltonian from one
+        # hbar: the eigenstate's density holds to criterion 13's tolerance
+        grid = Grid1D.from_interval(-8, 8, 801)
+        x = grid.nodes()
+        problem = StationaryProblem(
+            ScalarField(grid, 0.5 * x ** 2, kind="potential"), 0.0, hbar=2.0)
+        energy, wave = solve_eigen(problem, grid, 1)[0]
+        assert energy == pytest.approx(1.0, abs=1e-3)  # hbar omega / 2
+        fields = GaugeField(V=lambda x, t: 0.5 * np.asarray(x) ** 2)
+        config = PropagatorConfig(grid=grid, dt=1e-3, t_final=1.0,
+                                  sample_stride=10 ** 9, hbar=2.0)
+        final, _ = propagate(wave, fields, config)
+        assert np.max(np.abs(final.density_values()
+                             - wave.density_values())) <= 1e-8
 
     def test_phase_advances_at_eigenfrequency(self):
         grid = Grid1D.from_interval(-8, 8, 801)
@@ -395,13 +426,12 @@ def reference_hamiltonian(grid, fields, t, mass, hbar):
     return diag, upper, lower
 
 
-def reference_cn_step(interior, grid, fields, t_mid, dt, mass, hbar,
-                      cache=None):
+def reference_cn_step(interior, fields, t_mid, config, cache=None):
     """One Crank-Nicolson step that builds the operator and solves with
     solve_banded every time; ``cache`` is ignored."""
-    diag, upper, lower = reference_hamiltonian(grid, fields, t_mid, mass,
-                                               hbar)
-    r = 0.5j * dt / hbar
+    diag, upper, lower = reference_hamiltonian(config.grid, fields, t_mid,
+                                               config.mass, config.hbar)
+    r = 0.5j * config.dt / config.hbar
     rhs = (1.0 - r * diag) * interior
     rhs[:-1] -= r * upper * interior[1:]
     rhs[1:] -= r * lower * interior[:-1]
@@ -450,7 +480,7 @@ def count_builds(monkeypatch):
     build = dynamic._cn_operator
 
     def counted(*args, **kwargs):
-        builds.append(args[2].copy())  # the link values of A
+        builds.append(args[1].copy())  # the link values of A
         return build(*args, **kwargs)
     monkeypatch.setattr(dynamic, "_cn_operator", counted)
     return builds

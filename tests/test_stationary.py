@@ -17,7 +17,7 @@ from robustq import (Grid1D, ScalarField, StationaryProblem, WaveField,
                      functional_gradient, hje_residual, madelung_join,
                      madelung_split, minimize_functional, normalized_wave,
                      shift_covariance_check, solve_eigen, wave_functional)
-from robustq.errors import DomainError
+from robustq.errors import ConvergenceError, DomainError
 from robustq.grid import gradient, gradient_adjoint
 
 
@@ -378,6 +378,19 @@ class TestMinimizeFunctional:
         init = (ScalarField(grid, uniform, kind="density"),
                 ScalarField(grid, np.zeros(n), kind="action"))
         return grid, problem, ground, init
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_objective_raises(self):
+        # on [-1e154, 3.25] the potential terms overflow: a NaN objective
+        # never reads as a decrease, and must not end the run as converged
+        grid = grid_on(-1e154, 3.25, 101)
+        field = ScalarField(grid, 0.5 * grid.nodes() ** 2, kind="potential")
+        uniform = np.full(101, 1.0 / (101 * grid.spacing))
+        with pytest.raises(ConvergenceError, match="not finite"):
+            minimize_functional(
+                StationaryProblem(field, 0.0), grid,
+                (ScalarField(grid, uniform, kind="density"),
+                 ScalarField(grid, np.zeros(101), kind="action")))
 
     def assert_gradient_matches_fd(self, nodes):
         """functional_gradient against central finite differences of

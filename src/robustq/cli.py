@@ -682,67 +682,28 @@ def _run_tise_solve(config: RunConfig):
     }
 
 
-# Fewest nodes of a coarse level in tise-minimize's nested iteration, so
-# the defaults (131 nodes) solve on 33, 66 and 131.  Of the five configs
-# tabled in CHANGES.md, going down to 17 nodes took more iterations in
-# total on four, and stopping at 65 on four.
-_MIN_LEVEL_NODES = 33
-
-
-def _interpolated_start(density: ScalarField, action: ScalarField,
-                        grid: Grid1D):
-    """A coarser level's (density, action) carried to ``grid``: sqrt(P) and
-    S interpolated linearly, P renormalised to h * sum P = 1."""
-    x_from, x_to = density.grid.nodes(), grid.nodes()
-    amplitude = np.interp(x_to, x_from, np.sqrt(density.values))
-    p = amplitude * amplitude
-    p /= grid.spacing * p.sum()
-    return (ScalarField(grid, p, kind="density"),
-            ScalarField(grid, np.interp(x_to, x_from, action.values),
-                        kind="action"))
-
-
 def _run_tise_minimize(config: RunConfig):
-    """Nested iteration: the minimiser runs first on grids over the same
-    interval with about half, a quarter, ... of the nodes, where the
-    long-wavelength error it removes slowest is cheap to remove, and each
-    level starts from the one below.  Every level takes the fine grid's
-    eigen energy: with h * sum P = 1 the energy only shifts the objective.
-    ``max_iter`` bounds the total; a coarse level may spend at most half
-    of what is left."""
+    """One ``minimize_functional`` call from the uniform density at the
+    eigensolver's ground-state energy, cross-checked against that state."""
     params = config.parameters
     grid = _grid_of(params)
-    problem0 = _stationary_problem(config, grid)
-    (energy0, ground) = stationary.solve_eigen(problem0, grid, 1)[0]
-    levels = [grid]  # finest first
-    while (levels[-1].n_points + 1) // 2 >= _MIN_LEVEL_NODES:
-        levels.append(Grid1D.from_interval(
-            params["x_min"], params["x_max"], (levels[-1].n_points + 1) // 2))
-    coarsest = levels[-1]
-    n = coarsest.n_points
+    (energy0, ground) = stationary.solve_eigen(
+        _stationary_problem(config, grid), grid, 1)[0]
+    n = grid.n_points
     uniform = np.ones(n)
-    uniform /= coarsest.spacing * uniform.sum()
-    init = (ScalarField(coarsest, uniform, kind="density"),
-            ScalarField(coarsest, np.zeros(n), kind="action"))
-    spent = 0
-    for level in reversed(levels):
-        budget = params["max_iter"] - spent
-        if level is not grid:
-            budget //= 2
-        if init[0].grid is not level:
-            init = _interpolated_start(*init, level)
-        result = stationary.minimize_functional(
-            _stationary_problem(config, level, energy=energy0), level, init,
-            max_iter=budget, tol=params["tol"])
-        spent += result.iterations
-        init = (result.density, result.action)
+    uniform /= grid.spacing * uniform.sum()
+    result = stationary.minimize_functional(
+        _stationary_problem(config, grid, energy=energy0), grid,
+        (ScalarField(grid, uniform, kind="density"),
+         ScalarField(grid, np.zeros(n), kind="action")),
+        max_iter=params["max_iter"], tol=params["tol"])
     eigen_density = ground.density_values()
     sup_diff = float(np.max(np.abs(result.density.values - eigen_density)))
     return {
         "summary.csv": {
             "energy": np.array([energy0]),
             "objective": np.array([result.value]),
-            "iterations": np.array([spent]),
+            "iterations": np.array([result.iterations]),
             "converged": np.array([int(result.converged)]),
             "sup_diff_vs_eigen": np.array([sup_diff]),
         },

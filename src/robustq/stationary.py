@@ -341,22 +341,30 @@ def functional_gradient(density: ScalarField, action: ScalarField,
     return grad_p, grad_s
 
 
-def _lbfgs_direction(grad, pairs):
+def _lbfgs_direction(grad, pairs, amplitude, solve_m, gamma):
     """-H grad by the L-BFGS two-loop recursion (Nocedal & Wright, alg. 7.4).
 
     ``pairs`` holds (step, gradient change, 1 / their inner product), oldest
-    first.  The initial inverse Hessian is gamma times the identity, with
-    gamma = (step . change) / (change . change) of the newest pair.
+    first, and may be empty.  The initial inverse Hessian is ``solve_m``
+    (M^-1) on the amplitude block, the first ``amplitude.size`` entries,
+    and gamma times the identity on the action block.
     """
-    _, dy, rho = pairs[-1]
-    gamma = 1.0 / (rho * float(_dot(dy, dy)))
+    n = amplitude.size
     q = -grad
     alphas = []
     for ds, dy, rho in reversed(pairs):
         a = rho * float(_dot(ds, q))
         q -= a * dy
         alphas.append(a)
-    q *= gamma
+    # M^-1 acts on the part of q tangent to the sphere h * sum a^2 = 1 at
+    # the iterate (Knyazev's preconditioned residual).  Where the potential
+    # dwarfs the kinetic term, M^-1 q itself lies almost along the iterate,
+    # and the renormalisation after the step cancels it.
+    q_a = q[:n]
+    q_a -= (float(_dot(amplitude, q_a))
+            / float(_dot(amplitude, amplitude))) * amplitude
+    q[:n] = solve_m(q_a)
+    q[n:] *= gamma
     for (ds, dy, rho), a in zip(pairs, reversed(alphas)):
         q += (a - rho * float(_dot(dy, q))) * ds
     return q
@@ -382,21 +390,27 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     h * sum a^2 = 1; P = a^2 needs no positivity constraint.  The returned
     density is a^2, renormalised once more, exactly.  The direction is the
     limited-memory quasi-Newton one built from the last ``LBFGS_MEMORY``
-    steps (Liu & Nocedal 1989).  The step length starts at 1 and is halved
-    until the objective strictly decreases, so the returned value history
-    is monotone nonincreasing.
+    steps (Liu & Nocedal 1989).  Its initial inverse Hessian (Nocedal &
+    Wright §7.2) is M^-1 on the amplitude, where M = 4 m lambda h
+    (H - min V) over the interior nodes is the objective's Hessian in a at
+    E = min V, so the iteration count does not grow with the grid
+    (Knyazev 2001); on the action it is the spectral (Barzilai-Borwein)
+    scalar of the newest pair.
+    The step length starts at 1 and is halved until the objective strictly
+    decreases, so the returned value history is monotone nonincreasing.
 
     When the quasi-Newton direction is not a descent direction, or no
     halving of it decreases the objective, the memory is dropped and the
-    same iteration retries along the gradient, scaled by the spectral
-    (Barzilai-Borwein) step length of the newest pair.  Terminates when
-    one iteration lowers the objective by less than ``tol * max(1, |F|)``
-    with F the new value (so the test is absolute while |F| < 1, as at
-    the CLI defaults, and relative above), when that gradient step finds
-    no float-representable decrease (a stationary point on the sphere),
-    or at ``max_iter``; only the last case reports ``converged=False``
-    with the best iterate.  An objective or gradient that is not finite at
-    the start or at an accepted step raises ConvergenceError.
+    same iteration retries along the initial matrix's own direction:
+    -M^-1 g on the amplitude, g its gradient projected onto the sphere, and
+    the scaled gradient on the action.  Terminates when one iteration
+    lowers the objective by less than ``tol * max(1, |F|)`` with F the new
+    value (so the test is absolute while |F| < 1, as at the CLI defaults,
+    and relative above), when that fallback step finds no
+    float-representable decrease (a stationary point on the sphere), or at
+    ``max_iter``; only the last case reports ``converged=False`` with the
+    best iterate.  An objective, gradient or search direction that is not
+    finite raises ConvergenceError.
     """
     density0, action0 = init
     g = _require_shared_grid(density0, action0, problem.potential)
@@ -406,6 +420,22 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     h = g.spacing
     w = trapezoid_weights(n, h)
     v = problem.potential.values
+    # No shift is needed: the Dirichlet kinetic term alone makes H - min V
+    # positive definite.  The two wall rows are unit rows with no coupling,
+    # which keeps a direction's wall entries at zero and leaves LAPACK an
+    # off-diagonal to take even with one interior node.  dpttrf/dpttrs call
+    # no BLAS; scipy is imported here for the reason given in solve_eigen.
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    inner = v[1:-1]
+    _, diag, off = kinetic_bands(problem.mass, problem.lam, h,
+                                 inner - inner.min())
+    scale = 4.0 * problem.mass * problem.lam * h
+    factor_d, factor_e, _ = dpttrf(
+        np.pad(scale * diag, 1, constant_values=1.0),
+        np.pad(np.full(n - 3, scale * off), 1))
+
+    def solve_m(b):
+        return dpttrs(factor_d, factor_e, b)[0]
 
     def project(a):
         a[0] = a[-1] = 0.0
@@ -432,6 +462,8 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
 
     def descend(x, value, direction):
         """First halving of the unit step that lowers the objective."""
+        if not np.isfinite(direction).all():  # it would find no decrease
+            raise ConvergenceError("search direction is not finite")
         step = 1.0
         for _ in range(100):
             x_new = x + step * direction
@@ -453,12 +485,13 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
         iterations += 1
         found = None
         if pairs:
-            direction = _lbfgs_direction(grad, pairs)
+            direction = _lbfgs_direction(grad, pairs, x[:n], solve_m, alpha)
             if float(_dot(direction, grad)) < 0:
                 found = descend(x, value, direction)
         if found is None:
             pairs.clear()
-            found = descend(x, value, -alpha * grad)
+            found = descend(x, value,
+                            _lbfgs_direction(grad, (), x[:n], solve_m, alpha))
         if found is None:
             converged = True  # no representable descent direction remains
             break

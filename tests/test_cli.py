@@ -611,18 +611,38 @@ class TestMinimizeRun:
         return np.genfromtxt(tmp_path / "summary.csv", delimiter=",",
                              names=True)
 
-    # on one grid these configs take 163 and 534 iterations; the nested
-    # solve reaches the same optimum, the eigenstate at objective 0
-    @pytest.mark.parametrize("params,most", [
-        ({}, 180),
-        ({"n_points": 401}, 450),
-    ], ids=["defaults", "401-nodes"])
-    def test_coarse_levels_cut_iterations(self, params, most, tmp_path):
+    # preconditioned with the eigensolver's own matrix, the iteration count
+    # does not grow with the grid: 9, 8, 8 and 9 here, where the descent
+    # without it took 163 and 534 on the first two and did not converge in
+    # 3,000 on the 5,001 nodes.  The optimum at the eigen energy is 0 up to
+    # 2 m lambda = 8 times that energy's rounding, eps * |H|, about 3e-10
+    # at 5,001 nodes, where |H| is about 1e6
+    @pytest.mark.parametrize("params,objective", [
+        ({}, 1e-10), ({"n_points": 401}, 1e-10), ({"n_points": 5001}, 5e-9),
+        ({"x_min": -100.0, "x_max": 100.0, "n_points": 4001}, 1e-10),
+    ], ids=["defaults", "401-nodes", "5001-nodes", "pm100-4001-nodes"])
+    def test_one_grid_converges_in_few_iterations(self, params, objective,
+                                                  tmp_path):
         summary = self.summary(tmp_path, **params)
-        assert summary["iterations"] <= most
+        assert summary["iterations"] <= 30
         assert summary["converged"] == 1
-        assert summary["sup_diff_vs_eigen"] <= 1e-6
+        assert summary["sup_diff_vs_eigen"] <= 1e-8
+        assert abs(summary["objective"]) <= objective
+
+    @pytest.mark.parametrize("bound", [
+        {"x_min": -1e20}, {"x_max": 1e20}, {"x_min": -1e10},
+    ], ids=["x_min-1e20", "x_max-1e20", "x_min-1e10"])
+    def test_badly_scaled_domain_reaches_the_optimum(self, bound, tmp_path):
+        # at +-1e20 each node holds about 1e-20 of density and the objective
+        # starts near 1e40.  The unpreconditioned descent stopped there as
+        # converged at 1.3e40; M^-1 applied without the tangent projection
+        # stopped at 3.3e19 on x_min = -1e10
+        summary = self.summary(tmp_path, **bound)
+        assert summary["converged"] == 1
         assert abs(summary["objective"]) <= 1e-10
+        eigen = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
+                           skiprows=1, usecols=2)
+        assert summary["sup_diff_vs_eigen"] <= 1e-6 * eigen.max()
 
     @pytest.mark.parametrize("potential", [
         {"kind": "box"}, {"kind": "zero"}, {"kind": "linear", "slope": 1.0},
@@ -639,13 +659,15 @@ class TestMinimizeRun:
         assert density[0] == 0.0 and density[-1] == 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("bound", [{"x_min": -1e154}, {"x_max": 1e154}],
-                             ids=["x_min", "x_max"])
-    def test_non_finite_objective_is_an_error(self, bound, tmp_path, capsys):
+    @pytest.mark.parametrize("params", [
+        {"x_min": -1e154, "n_points": 101}, {"x_max": 1e154, "n_points": 101},
+        {"x_min": -1e100},
+    ], ids=["x_min", "x_max", "x_min-1e100"])
+    def test_non_finite_objective_is_an_error(self, params, tmp_path, capsys):
         # the objective overflows to NaN, which once ended the descent as
-        # converged beside objective nan
-        raw = {"experiment": "tise-minimize",
-               "parameters": {"n_points": 101, **bound}}
+        # converged beside objective nan; at -1e100 the search direction
+        # overflows, which no halving turns into a decrease
+        raw = {"experiment": "tise-minimize", "parameters": params}
         manifest = run(raw, output_dir=str(tmp_path / "run"))
         assert (manifest.status, manifest.error) == ("error",
                                                      "ConvergenceError")
@@ -664,21 +686,21 @@ class TestMinimizeRun:
             assert summary["converged"] == 0
 
     def test_small_grid_is_one_direct_solve(self, tmp_path):
-        # under 65 nodes no coarser level keeps 33, so the CLI makes the
-        # one minimize_functional call from the uniform start
-        self.summary(tmp_path, n_points=61)
+        # the CLI makes one minimize_functional call on the requested grid,
+        # from the uniform start at the eigen energy
+        self.summary(tmp_path)
         density = np.loadtxt(tmp_path / "fields.csv", delimiter=",",
                              skiprows=1, usecols=1)
-        grid = Grid1D.from_interval(-3.25, 3.25, 61)
+        grid = Grid1D.from_interval(-3.25, 3.25, 131)
         potential = build_potential({"kind": "harmonic", "omega": 1.0,
                                      "center": 0.0}, grid)
         energy = stationary.solve_eigen(
             stationary.StationaryProblem(potential, 0.0), grid, 1)[0][0]
-        uniform = np.full(61, 1.0 / (61 * grid.spacing))
+        uniform = np.full(131, 1.0 / (131 * grid.spacing))
         result = stationary.minimize_functional(
             stationary.StationaryProblem(potential, energy), grid,
             (ScalarField(grid, uniform, kind="density"),
-             ScalarField(grid, np.zeros(61), kind="action")))
+             ScalarField(grid, np.zeros(131), kind="action")))
         assert np.array_equal(density, result.density.values)
 
 
@@ -916,11 +938,16 @@ class TestRangeChecks:
         err = capsys.readouterr().err
         assert "parameters.n_points" in err and "budget" in err
 
-    def test_boundary_values_accepted(self):
-        config = validate_config({
-            "experiment": "tise-minimize",
-            "parameters": {"n_points": 3, "max_iter": 1, "tol": 0.0}})
+    def test_boundary_values_accepted(self, tmp_path):
+        raw = {"experiment": "tise-minimize",
+               "parameters": {"n_points": 3, "max_iter": 1, "tol": 0.0}}
+        config = validate_config(raw)
         assert config.parameters["n_points"] == 3
+        # one interior node: the preconditioner still factors
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("potential", [
         {"kind": "harmonic", "omega": 1e150},

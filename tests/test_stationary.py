@@ -439,7 +439,7 @@ class TestMinimizeFunctional:
         grid, problem, ground, init = self.setup_problem()
         result = minimize_functional(problem, grid, init)
         assert result.converged
-        assert result.iterations <= 1_000
+        assert result.iterations <= 30
         assert np.max(np.abs(result.density.values
                              - ground.density_values())) <= 1e-3
 

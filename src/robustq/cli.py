@@ -303,6 +303,15 @@ def _check_relations(top: dict, diags: list) -> None:
             build_model(p["model"])
         except InvalidModelError as exc:
             diags.append(f"parameters.model: {exc}")
+    if "initial" in p and not diags:  # the grid and its size have passed
+        try:
+            # a packet that overflows, or vanishes at every node, on the grid
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                build_initial(p["initial"], _grid_of(p))
+        except (ArithmeticError, ValueError) as exc:
+            # args[-1] is the message; float ** puts an errno before it
+            diags.append(f"parameters.initial: the packet cannot be built "
+                         f"on the grid: {exc.args[-1]}")
     if "n_outcomes" in p:
         given = [key for key in ("probs", "counts") if key in p]
         if len(given) != 1:
@@ -524,19 +533,19 @@ def build_model(spec: dict) -> eprb.CorrelationModel:
 # experiment handlers (each returns {filename: columns})
 # ---------------------------------------------------------------------------
 
-def _run_scan(config: RunConfig, point, sim_stat, variance, names):
+def _run_scan(config: RunConfig, rows, sim_stat, variance, names):
     """Sample each scan angle's probability row on the worker pool and
     compare its model statistic with ``sim_stat(counts, trials)``, where
-    ``point(theta)`` gives (model statistic, probability row) and
-    ``counts[j]`` holds outcome j's count at every angle; ``variance`` maps
-    the model column to the per-trial variance.  Each worker tallies one
-    contiguous slice of the stacked rows in one call."""
+    ``rows(thetas)`` gives the model column and the (P, m) probability
+    rows of all P angles at once, and ``counts[j]`` holds outcome j's
+    count at every angle; ``variance`` maps the model column to the
+    per-trial variance.  Each worker tallies one contiguous slice of the
+    rows in one call."""
     params = config.parameters
     thetas = np.linspace(params["theta_start"], params["theta_stop"],
                          params["steps"] + 1)
     trials = params["trials"]
-    model, probs = zip(*map(point, thetas))
-    model, probs = np.array(model), np.array(probs)
+    model, probs = rows(thetas)
 
     n, workers = thetas.size, min(_worker_cap(), thetas.size)
     slices = [slice(n * w // workers, n * (w + 1) // workers)
@@ -561,24 +570,29 @@ def _run_scan(config: RunConfig, point, sim_stat, variance, names):
 def _run_eprb_scan(config: RunConfig):
     model = build_model(config.parameters["model"])
 
-    def point(theta):
-        e12 = model.correlation_vs_angle(theta)
-        return e12, eprb.pair_probabilities(e12)
+    def rows(thetas):
+        # one math.cos per angle: a vectorised cosine may round differently
+        e12 = np.array([model.correlation_vs_angle(theta)
+                        for theta in thetas.tolist()])
+        return e12, np.stack(eprb.pair_probabilities(e12), axis=1)
 
     # counts in PAIR_OUTCOMES order: (++, +-, -+, --)
-    return _run_scan(config, point,
+    return _run_scan(config, rows,
                      lambda c, n: (c[0] + c[3] - c[1] - c[2]) / n,
                      lambda corr: 1.0 - corr ** 2, ("E12_model", "E12_sim"))
 
 
 def _run_sg_scan(config: RunConfig):
-    family = sterngerlach.sg_family(config.parameters["branch_sign"])
+    sign = config.parameters["branch_sign"]
 
-    def point(theta):
-        row = family([theta])
-        return row[0], row
+    def rows(thetas):
+        # sterngerlach.sg_family's expectation, one math.cos per angle
+        expectation = np.array([sign * math.cos(theta)
+                                for theta in thetas.tolist()])
+        probs = np.stack(sterngerlach.sg_probabilities(expectation), axis=1)
+        return probs[:, 0], probs
 
-    return _run_scan(config, point, lambda c, n: c[0] / n,
+    return _run_scan(config, rows, lambda c, n: c[0] / n,
                      lambda p: p * (1 - p), ("p_plus_model", "p_plus_sim"))
 
 

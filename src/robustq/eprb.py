@@ -210,14 +210,18 @@ def recompose(dec: Decomposition) -> OutcomeTable:
     return OutcomeTable(outcomes=PAIR_OUTCOMES, probs=probs)
 
 
-def pair_probabilities(e12: float) -> Tuple[float, float, float, float]:
+def pair_probabilities(e12):
     """The four probabilities (1 + xy E12)/4 in PAIR_OUTCOMES order.
 
-    The unlike-sign entries are computed as 0.5 - p_like, which makes both
+    ``e12`` is a float or an array; for an array each probability is an
+    array of its shape, equal element for element to the scalar call.  The
+    unlike-sign entries are computed as 0.5 - p_like, which makes both
     single-detector marginals and the total sum land exactly on 0.5 and 1.
     """
-    if abs(e12) > 1.0:
-        raise InvalidModelError(f"|E12| = {abs(e12)!r} exceeds 1")
+    magnitude = np.abs(e12)
+    if np.any(magnitude > 1.0):
+        worst = float(np.max(magnitude[magnitude > 1.0]))
+        raise InvalidModelError(f"|E12| = {worst!r} exceeds 1")
     p_like = (1.0 + e12) / 4.0
     p_unlike = 0.5 - p_like
     return (p_like, p_unlike, p_unlike, p_like)

@@ -9,12 +9,12 @@ of the trials it covers.  Merging partial counts is integer addition, so
 parallel simulation is bit-exact regardless of scheduling.
 
 The outcome tally takes one table or a (P, m) stack of tables, where table
-``k`` owns trials [first_trial + k*n, first_trial + (k+1)*n).  It walks that
-trial range once, in chunks of ``CHUNK_SIZE`` words aligned to absolute
-trial indices, so it holds one chunk of words at a time, never P*n of them.
-A chunk inside one table is counted with one compare per cut point; a chunk
-that covers several tables is counted with one vectorised pass per cut
-point over all of them.
+``k`` owns trials [first_trial + k*n, first_trial + (k+1)*n).  It never
+holds P*n words.  Tables shorter than ``CHUNK_SIZE`` trials are drawn in
+groups of whole tables, up to 2*CHUNK_SIZE words a group, and each group
+is counted as a (g, n) array with one compare and one row sum per cut
+point.  Longer tables walk their own trials in pieces of ``CHUNK_SIZE``
+words aligned to absolute trial indices, with one compare per cut point.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ import threading
 import numpy as np
 
 BLOCK_SIZE = 1 << 16
-# words the tally holds at once; divides BLOCK_SIZE, so no chunk crosses a
-# block.  Whole blocks cost more memory per worker; smaller chunks pay the
-# per-chunk generator positioning and Python more often.
+# words in one piece of a long table, and half the words of a group of
+# short tables; divides BLOCK_SIZE, so no piece crosses a block.  Whole
+# blocks cost more memory per worker; smaller pieces pay the generator
+# positioning and Python more often.
 CHUNK_SIZE = 1 << 14
 
 _U64 = (1 << 64) - 1
@@ -126,16 +127,17 @@ def sample_outcome_counts(probs, n_trials: int, seed: int,
 
     Outcome ``j`` owns the subinterval [cum_{j-1}, cum_j) of [0, 1); a trial's
     uniform picks the owner.  Zero-probability outcomes own empty intervals
-    and are never drawn.  The tally walks the trial range once, in chunks
-    of ``CHUNK_SIZE`` trials aligned to absolute trial indices, and counts
-    u < cum_j for each inner cut point j.  A chunk inside one table takes
-    one count_nonzero per cut point.  A chunk that covers several tables
-    takes one pass per cut point: it repeats each covered table's cum_j
-    over that table's segment, compares the whole chunk once, and sums
-    each segment's hits with add.reduceat.  Differences at the end give
-    the same counts as searchsorted(side="right") and bincount, without
-    either.  The whole span is checked against the end of the keystream
-    before any word is drawn.
+    and are never drawn.  The tally counts u < cum_j for each inner cut
+    point j.  Tables shorter than ``CHUNK_SIZE`` trials are drawn in groups
+    of whole tables, at most 2*CHUNK_SIZE words a group, with one
+    ``uniforms`` call each; the group's words form a (g, n) array, and each
+    cut point takes one broadcast compare against the g tables' cum_j and
+    one row sum.  A longer table walks its own trials in pieces of
+    ``CHUNK_SIZE`` words aligned to absolute trial indices, one
+    count_nonzero per cut point.  Differences at the end give the same
+    counts as searchsorted(side="right") and bincount, without either.  The
+    whole span is checked against the end of the keystream before any word
+    is drawn.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim not in (1, 2) or p.size == 0:
@@ -156,24 +158,34 @@ def sample_outcome_counts(probs, n_trials: int, seed: int,
     # cum[k, j]; the last outcome takes the rest, so the top edge is never
     # compared
     below = np.zeros((tables.shape[0], tables.shape[1] - 1), dtype=np.int64)
-    for start, take in _spans(first_trial, total, CHUNK_SIZE):
-        u = uniforms(seed, start, take)
-        offset = start - first_trial
-        first = offset // n_trials
-        # offsets in this chunk where tables after ``first`` start; Python
-        # ints, so a huge first_trial or n_trials cannot overflow them
-        starts = range((first + 1) * n_trials - offset, take, n_trials)
-        if not starts:
-            for j, c in enumerate(cum[first, :-1].tolist()):
-                below[first, j] += np.count_nonzero(u < c)
-        else:
-            edges = np.array([0, *starts])
-            rows = slice(first, first + edges.size)
-            sizes = np.diff(edges, append=take)
+    if n_trials >= CHUNK_SIZE:
+        for k in range(tables.shape[0]):
+            cuts = cum[k, :-1].tolist()
+            for start, take in _spans(first_trial + k * n_trials, n_trials,
+                                      CHUNK_SIZE):
+                u = uniforms(seed, start, take)
+                for j, c in enumerate(cuts):
+                    below[k, j] += np.count_nonzero(u < c)
+                del u  # free this piece's uniforms before the next is made
+    else:
+        # Groups of up to 2*CHUNK_SIZE words.  Tallying 4,097 tables of
+        # 1,000 trials on two threads (2 CPUs, median of 40), groups of at
+        # most CHUNK_SIZE, 2*CHUNK_SIZE and BLOCK_SIZE words took 48-51,
+        # 38-42 and 51-52 ms; smaller groups pay the per-group Python and
+        # generator positioning more often, and whole-block groups hold
+        # twice the words for no gain.  Long tables keep CHUNK_SIZE pieces,
+        # which keeps them under the tally's memory bound.
+        group = 2 * CHUNK_SIZE // n_trials
+        for k in range(0, tables.shape[0], group):
+            rows = slice(k, k + group)
+            size = min(group, tables.shape[0] - k)
+            u = uniforms(seed, first_trial + k * n_trials,
+                         size * n_trials).reshape(size, n_trials)
             for j in range(below.shape[1]):
-                hit = u < np.repeat(cum[rows, j], sizes)
-                # a chunk's count fits int32, which sums faster than int64
-                below[rows, j] += np.add.reduceat(hit, edges, dtype=np.int32)
-        del u  # free this chunk's uniforms before the next is made
+                # a row's count is below CHUNK_SIZE, so it fits int32,
+                # which sums faster than int64
+                below[rows, j] += (u < cum[rows, j, None]).sum(
+                    axis=1, dtype=np.int32)
+            del u  # free this group's uniforms before the next is made
     counts = np.diff(below, axis=1, prepend=0, append=n_trials)
     return counts if p.ndim == 2 else counts[0]

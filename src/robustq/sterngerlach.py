@@ -45,9 +45,13 @@ class MagnetSetting:
         return angle_between(self.a, self.S)
 
 
-def sg_probabilities(expectation: float):
-    """(P(+1), P(-1)) with P(-1) = 1 - P(+1), so the pair sums to 1 exactly."""
-    if abs(expectation) > 1.0:
+def sg_probabilities(expectation):
+    """(P(+1), P(-1)) with P(-1) = 1 - P(+1), so the pair sums to 1 exactly.
+
+    ``expectation`` is a float or an array; for an array both entries are
+    arrays of its shape, equal element for element to the scalar call.
+    """
+    if np.any(np.abs(expectation) > 1.0):
         raise ValueError("|expectation| must not exceed 1")
     p_plus = (1.0 + expectation) / 2.0
     return (p_plus, 1.0 - p_plus)

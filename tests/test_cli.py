@@ -518,16 +518,17 @@ class TestThreadCap:
     """Each worker takes a contiguous slice of the scan angles; 70,000
     trials per point make points straddle keystream block boundaries, and
     steps 0 and 2 give fewer points than workers.  1,000 trials at 300
-    steps put about 65 points in one keystream block, and points straddle
-    the tally's chunk boundaries.  The worker count never exceeds the CPU
-    count, so these tests fake four CPUs."""
+    steps put about 65 points in one keystream block, and 3,000 trials at
+    64 steps tally 65 points in groups of 10, so the tally's groups of
+    whole tables straddle block boundaries.  The worker count never
+    exceeds the CPU count, so these tests fake four CPUs."""
 
     def test_scan_output_independent_of_worker_count(self, tmp_path,
                                                      monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         for experiment in ("eprb-scan", "sg-scan"):
             for steps, trials in ((0, 70000), (2, 70000), (8, 70000),
-                                  (300, 1000)):
+                                  (300, 1000), (64, 3000)):
                 raw = {"experiment": experiment, "seed": 3,
                        "parameters": {"steps": steps, "trials": trials}}
                 outputs = set()
@@ -884,6 +885,15 @@ class TestRangeChecks:
         ("tise-solve", {"hbar": 1e308}, "physics.hbar"),
         # hbar^2 is a finite subnormal, but lambda = 4 / hbar^2 overflows
         ("tise-solve", {"hbar": 1e-160}, "physics.hbar"),
+        # an initial Gaussian that overflows, or is zero at every node, on
+        # the grid: sigma ** 2 overflows or underflows, x0 is far off the
+        # grid, k0 * x overflows
+        *[("tdse-run", {"n_points": 101, "t_final": 0.01, "initial": {
+            "kind": "gaussian", **initial}}, "parameters.initial")
+          for initial in ({"sigma": 1e308}, {"sigma": 5e-324},
+                          {"x0": 1e154}, {"k0": 1e308})],
+        ("gauge-check", {"initial": {"kind": "gaussian", "k0": 1e308}},
+         "parameters.initial"),
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)

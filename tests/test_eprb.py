@@ -11,8 +11,9 @@ from robustq import (CorrelationModel, OutcomeTable, RouterSetting,
                      model_correlation, pair_table,
                      pair_table_from_correlation, recompose, simulate_pairs,
                      simulate_pairs_from_table, solve_robust_ode)
-from robustq.eprb import PAIR_OUTCOMES
+from robustq.eprb import PAIR_OUTCOMES, pair_probabilities
 from robustq.errors import (BranchError, EmptyDataError, InvalidModelError)
+from robustq.sterngerlach import sg_probabilities
 
 
 def random_rotation(rng):
@@ -94,6 +95,22 @@ class TestPairTable:
     def test_correlation_bound_enforced(self):
         with pytest.raises(InvalidModelError):
             pair_table_from_correlation(1.0 + 1e-9)
+
+    @pytest.mark.parametrize("probabilities,error", [
+        (pair_probabilities, InvalidModelError),
+        (sg_probabilities, ValueError)], ids=["pair", "sg"])
+    def test_array_call_equals_scalar_calls(self, probabilities, error):
+        # the scans build every angle's row in one call
+        values = np.cos(np.linspace(0.0, math.pi, 257))
+        values[[0, -1]] = [1.0, -1.0]
+        rows = np.stack(probabilities(values), axis=1)
+        for value, row in zip(values.tolist(), rows):
+            assert row.tolist() == list(probabilities(value))
+        for bad in (1.0 + 1e-9, -1.0 - 1e-9):
+            with pytest.raises(error):
+                probabilities(np.concatenate([values, [bad]]))
+            with pytest.raises(error):
+                probabilities(bad)
 
     def test_correlation_curve_stays_in_band(self):
         for model in (CorrelationModel.singlet(),

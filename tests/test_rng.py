@@ -94,15 +94,17 @@ class TestTrialIndices:
                                       first_trial=end - 15)
 
     def test_stack_ending_at_the_keystream_end(self):
-        # 40 tables of 3 trials fill the end of the keystream's last chunk,
-        # so table boundaries fall inside it and their offsets are counted
-        # relative to a start near 2**208
+        # 40 tables of 3 trials end at the keystream's last word; one
+        # uniforms call draws them all as one group, so each table's row
+        # of the group is found relative to a start near 2**208
         end = B << 192
         probs = np.random.default_rng(3).dirichlet(np.ones(4), size=40)
-        with mock.patch("numpy.repeat", wraps=np.repeat) as repeat:
+        with mock.patch.object(rng, "uniforms",
+                               wraps=rng.uniforms) as uniforms:
             counts = rng.sample_outcome_counts(probs, 3, 7,
                                                first_trial=end - 120)
-        assert repeat.called  # the multi-table count
+        # one call spans all 40 tables
+        assert uniforms.call_args_list == [mock.call(7, end - 120, 120)]
         for k, row in enumerate(probs):
             assert np.array_equal(counts[k], rng.sample_outcome_counts(
                 row, 3, 7, first_trial=end - 120 + 3 * k))
@@ -177,9 +179,11 @@ def stack_rows(m):
 @st.composite
 def stacks(draw):
     m = draw(st.integers(1, 5))
-    # n = 2 and C // 4 put table boundaries on chunk starts and ends
-    n = draw(st.sampled_from([1, 2, 3, 1000, C // 4, C - 1, C + 1, B - 1,
-                              B + 1]))
+    # n = 2 and C // 4 put table boundaries on chunk starts and ends; C
+    # is the shortest table walked in pieces, and a group of short tables
+    # holds at most 2 * C words
+    n = draw(st.sampled_from([1, 2, 3, 1000, C // 4, C - 1, C, C + 1,
+                              2 * C - 1, 2 * C, 2 * C + 1, B - 1, B + 1]))
     # keep P * n near a few blocks so the oracle stays cheap
     P = min(draw(st.integers(1, 70)), max(1, 3 * B // n))
     return np.array(draw(st.lists(stack_rows(m), min_size=P, max_size=P))), n
@@ -218,7 +222,7 @@ class TestStackedTally:
                               reference_counts(probs, B + 3, 9, C - 2))
 
     def test_one_outcome_stack(self):
-        # no cut points: each chunk covers several tables and compares
+        # no cut points: each group covers several tables and compares
         # nothing
         counts = rng.sample_outcome_counts(np.ones((40, 1)), 1000, 9,
                                            first_trial=C - 1500)
@@ -264,7 +268,8 @@ class TestStackedTally:
 
 
 class TestTallyMemory:
-    """The tally holds one chunk of words at a time, never P * n."""
+    """The tally holds one group or piece of words at a time, never
+    P * n."""
 
     @staticmethod
     def peak_bytes(probs, n_trials):

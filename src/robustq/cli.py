@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from . import dynamic, eprb, inference, rng, stationary, sterngerlach
+from . import _csvfloat, dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
 from .grid import (Grid1D, ScalarField, WaveField, _dot, kinetic_bands,
                    normalized_wave)
@@ -369,7 +369,11 @@ def _canonical_digest(raw: dict) -> str:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-EMIT_CHUNK_ROWS = 2048  # rows formatted and written per chunk
+EMIT_CHUNK_ROWS = 512  # rows formatted and written per chunk
+# Float tables of at least this many values take the bulk path.  Its fixed
+# cost is about 170 us a table, so on a 2-CPU x86-64 machine it matched the
+# template at 65 x 4 values and was 1.3x faster at 100 x 4, 2x at 256 x 4.
+_BULK_MIN_VALUES = 512
 
 
 def _format_value(value) -> str:
@@ -416,9 +420,14 @@ def _column_format(array: np.ndarray):
 
 
 def _csv_chunks(names, arrays, n_rows: int):
-    """The header line, then the rows in chunks of ``EMIT_CHUNK_ROWS``,
-    each formatted by one ``%`` of a repeated row template."""
+    """The header line, then the rows in chunks of ``EMIT_CHUNK_ROWS``:
+    laid out by array arithmetic for a large enough table of float and bool
+    columns, else formatted by one ``%`` of a repeated row template."""
     yield (",".join(names) + "\n").encode("utf-8")
+    if n_rows * len(arrays) >= _BULK_MIN_VALUES and all(
+            a.ndim == 1 and a.dtype.kind in "fb" for a in arrays):
+        yield from _csvfloat.row_chunks(arrays, n_rows, EMIT_CHUNK_ROWS)
+        return
     formats = [_column_format(a) for a in arrays]
     row = ",".join(fmt for fmt, _ in formats) + "\n"
     for start in range(0, n_rows, EMIT_CHUNK_ROWS):

@@ -46,26 +46,27 @@ from typing import Iterator, List, NamedTuple
 
 import numpy as np
 
-_K_MAX = 281  # |k| after a correction step: 10**q spans q = 16 -+ _K_MAX
-_X_MAX = _K_MAX + 1  # |exponent| once N = 10**17 carries
-_BULK_EXPONENTS = (1023 - 930, 1023 + 930)  # biased, as in the IEEE bits
+# biased binary exponents of the bulk range: 2**+-930 is about 10**+-279.96
+_BULK_EXPONENTS = (1023 - 930, 1023 + 930)
+_K_MAX = 281  # |k| there, after a correction step or a carry
 _TIE = 1e-9  # |frac(t) - 1/2| at or below this falls back; t errs < 1e-13
 _N_LOW, _N_HIGH = 10 ** 16, 10 ** 17
 
 SLOT = 32
 _PREFIX, _DIGITS, _EXP, _SEP = 1, 6, 24, 29  # byte offsets in a slot
-_LAYOUTS = 22  # "0.000ddd" for exponents -4..-1, "ddd.ddd" for 0..16, "d.ddde+x"
+# layouts: "0.000ddd" at exponents -4..-1, "ddd.ddd" at 0..16, then "d.ddde+x"
+_LAYOUTS = 22
 
 
 class _Tables(NamedTuple):
-    power: tuple  # H, L and H's Veltkamp halves of 10**(16 - k), at _K_MAX - k
+    power: tuple  # H, L, H's Veltkamp halves: 10**(16 - k) at _K_MAX - k
     group: np.ndarray  # "0000".."9999" as uint32
     group_sig: np.ndarray  # (4, 10000): N's significant digits to group j
     a_mask: np.ndarray  # (layouts * 18, SLOT): digits before the point
     b_mask: np.ndarray  # the same, digits after the point
     dot: np.ndarray  # the point
-    frame: np.ndarray  # (exponents, sign, last column) -> prefix, exponent,
-    #                    sign and separator bytes
+    frame: np.ndarray  # sign, prefix, exponent and separator bytes of each
+    #                    (exponent, sign, last column)
 
 
 def _split(value):
@@ -103,7 +104,8 @@ def _layout_tables():
     a_mask = np.zeros((layout.size, SLOT), np.uint8)
     b_mask = np.zeros_like(a_mask)
     dot = np.zeros_like(a_mask)
-    a_mask[:, _DIGITS:_EXP] = 255 * ((r < point[:, None]) & (r < keep[:, None]))
+    a_mask[:, _DIGITS:_EXP] = 255 * ((r < point[:, None])
+                                     & (r < keep[:, None]))
     b_mask[:, _DIGITS:_EXP] = 255 * ((r > point[:, None])
                                      & (r - 1 < keep[:, None]))
     dot[:, _DIGITS:_EXP] = ord(".") * (r == point[:, None])
@@ -111,7 +113,7 @@ def _layout_tables():
 
 
 def _frame_table():
-    x = np.arange(-_X_MAX, _X_MAX + 1)
+    x = np.arange(-_K_MAX, _K_MAX + 1)
     frame = np.zeros((x.size, 2, 2, SLOT), np.uint8)  # exponent, sign, last
     frame[:, 1, :, 0] = ord("-")
     frame[:, :, 0, _SEP] = ord(",")
@@ -169,19 +171,22 @@ def _significands(a, power):
     a_hi, a_lo = _split(a)
     k = np.floor(np.log10(a)).astype(np.int64)
     n, tie = _round_scaled(a, a_hi, a_lo, k, power)
+    inside = (n > _N_LOW) & (n < _N_HIGH)
+    decided = inside & ~tie
     # one step corrects any log10; N = 10**16 steps down, as a value just
     # under 10**k also rounds to it at exponent k
-    redo = np.flatnonzero((n <= _N_LOW) | (n >= _N_HIGH))
-    up = np.zeros(a.shape, bool)
+    redo = np.flatnonzero(~inside)
     if redo.size:
-        up[redo] = n[redo] >= _N_HIGH
-        k[redo] += np.where(up[redo], 1, -1)
-        n[redo], tie[redo] = _round_scaled(a[redo], a_hi[redo], a_lo[redo],
-                                           k[redo], power)
-    carry = n == _N_HIGH  # 9.99...95 and up: 1.0000000000000000e(k+1)
-    n[carry] = _N_LOW
-    k[carry] += 1
-    decided = ~tie & (n < _N_HIGH) & ((n > _N_LOW) | carry | up)
+        up = n[redo] >= _N_HIGH
+        k_redo = k[redo] + np.where(up, 1, -1)
+        n_redo, tie_redo = _round_scaled(a[redo], a_hi[redo], a_lo[redo],
+                                         k_redo, power)
+        carry = n_redo == _N_HIGH  # 9.99...95 and up: 1.0000000000000000
+        n_redo[carry] = _N_LOW  # at exponent k + 1
+        k_redo[carry] += 1
+        n[redo], k[redo] = n_redo, k_redo
+        decided[redo] = ~tie_redo & (n_redo < _N_HIGH) \
+            & ((n_redo > _N_LOW) | carry | up)
     return n, k, decided
 
 
@@ -227,7 +232,7 @@ def _fill_slots(slots, x, last, tables) -> None:
     fixed = (k >= -4) & (k <= 16)
     code = np.where(fixed, k + 4, _LAYOUTS - 1) * 18 + s
     sign = (bits >> np.uint64(63)).astype(np.int64)
-    frame = ((k + _X_MAX) * 2 + sign) * 2 + last
+    frame = ((k + _K_MAX) * 2 + sign) * 2 + last
 
     # digit j of the line before the point sits at byte 6 + j, and of the
     # line after it at 7 + j, where _digit_words put it

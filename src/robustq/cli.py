@@ -31,7 +31,8 @@ from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from . import _csvfloat, dynamic, eprb, inference, rng, stationary, sterngerlach
+from . import (_csvfloat, dynamic, eprb, inference, rng, stationary,
+               sterngerlach)
 from .errors import ConfigError, InvalidModelError, RobustqError
 from .grid import (Grid1D, ScalarField, WaveField, _dot, kinetic_bands,
                    normalized_wave)
@@ -243,6 +244,44 @@ def _check_kinetic(phys: dict, p: dict, diags: list) -> None:
                      f"h = {h!r}")
 
 
+def _gauge_fault(phys: dict, p: dict, psi0: WaveField) -> Optional[str]:
+    """Why ``gauge-check``'s transform by chi, of the packet and of A and V
+    at t = 0 and at t_final, is not finite on the grid; None if it is."""
+    fields = dynamic.GaugeField(charge=phys["charge"],
+                                light_speed=phys["light_speed"])
+    chi, x = build_chi(p["chi"]), psi0.grid.nodes()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for t in (0.0, p["t_final"]):
+                psi, gauged = dynamic.gauge_transform(
+                    psi0, fields, chi, t, lam=4.0 / phys["hbar"] ** 2)
+                for values in (psi.values, gauged.a_values(x, t),
+                               gauged.v_values(x, t)):
+                    if not np.all(np.isfinite(values)):
+                        return f"not finite at t = {t!r}"
+    except (ArithmeticError, ValueError) as exc:
+        return f"{exc.args[-1]} at t = {t!r}"
+    return None
+
+
+def _check_gauge(phys: dict, p: dict, psi0: WaveField, diags: list) -> None:
+    """A gauge transform that overflows on the grid is refused at chi if it
+    does so at unit constants, else at the charge that scales it."""
+    fault = _gauge_fault(phys, p, psi0)
+    if fault is None:
+        return
+    unit = dict(phys, charge=1.0, light_speed=1.0, hbar=1.0)
+    if _gauge_fault(unit, p, psi0) is not None:
+        diags.append(f"parameters.chi: the gauge transform is not finite on "
+                     f"the grid: {fault}")
+    else:
+        diags.append(f"physics.charge: the gauge transform by parameters.chi "
+                     f"is not finite on the grid at charge = "
+                     f"{phys['charge']!r}, light_speed = "
+                     f"{phys['light_speed']!r}, hbar = {phys['hbar']!r}: "
+                     f"{fault}")
+
+
 def _check_relations(top: dict, diags: list) -> None:
     """The rules that span keys, run once every key is valid on its own.
     Where the library owns a rule, it is asked rather than restated."""
@@ -307,11 +346,14 @@ def _check_relations(top: dict, diags: list) -> None:
         try:
             # a packet that overflows, or vanishes at every node, on the grid
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                build_initial(p["initial"], _grid_of(p))
+                psi0 = build_initial(p["initial"], _grid_of(p))
         except (ArithmeticError, ValueError) as exc:
             # args[-1] is the message; float ** puts an errno before it
             diags.append(f"parameters.initial: the packet cannot be built "
                          f"on the grid: {exc.args[-1]}")
+        else:
+            if "chi" in p:
+                _check_gauge(phys, p, psi0, diags)
     if "n_outcomes" in p:
         given = [key for key in ("probs", "counts") if key in p]
         if len(given) != 1:
@@ -369,10 +411,13 @@ def _canonical_digest(raw: dict) -> str:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-EMIT_CHUNK_ROWS = 512  # rows formatted and written per chunk
-# Float tables of at least this many values take the bulk path.  Its fixed
-# cost is about 170 us a table, so on a 2-CPU x86-64 machine it matched the
-# template at 65 x 4 values and was 1.3x faster at 100 x 4, 2x at 256 x 4.
+# Rows formatted and written per chunk.  Emitting a 20,001 x 9 float table
+# peaks at 0.95 MB under tracemalloc at 512 rows, and at 1.9 MB at 1,024.
+EMIT_CHUNK_ROWS = 512
+# Float tables of at least this many values take the bulk path, whose fixed
+# cost is about 0.1 ms a table.  On a 2-CPU x86-64 machine the row template
+# was faster up to 48 x 4 values, about level at 65 x 4 (a scan's 260) and
+# 1.7x slower at 128 x 4, 3.3x at 512 x 4.
 _BULK_MIN_VALUES = 512
 
 
@@ -439,10 +484,14 @@ def _csv_chunks(names, arrays, n_rows: int):
 
 
 def emit_csv(columns: Dict[str, "np.ndarray"], path: str) -> str:
-    """Write named columns as CSV: 17-significant-digit floats (round-trip
+    """Write named columns as CSV and return ``path``: each float as
+    ``format(v, ".17g")`` writes it (17 significant digits, round-trip
     exact), LF endings, UTF-8, atomic temp-file-plus-rename.  Rows are
-    formatted and written a chunk at a time, so memory beyond the columns
-    is bounded by one chunk."""
+    formatted and written ``EMIT_CHUNK_ROWS`` at a time, so memory beyond
+    the columns is bounded by one chunk.  A table of at least
+    ``_BULK_MIN_VALUES`` values whose columns are all float or bool is laid
+    out by array arithmetic (:mod:`robustq._csvfloat`), any other by a row
+    template; both write the same bytes."""
     names = list(columns.keys())
     arrays = [np.atleast_1d(np.asarray(columns[n])) for n in names]
     lengths = {a.shape[0] for a in arrays}

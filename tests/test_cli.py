@@ -5,6 +5,7 @@ import concurrent.futures
 import contextlib
 import decimal
 import io
+import itertools
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from hypothesis import given, settings, strategies as st
 
 import robustq
 from robustq import stationary
-from robustq.cli import (EMIT_CHUNK_ROWS, EXPERIMENTS, build_potential,
-                         emit_csv, main, run, validate_config)
+from robustq.cli import (_BULK_MIN_VALUES, EMIT_CHUNK_ROWS, EXPERIMENTS,
+                         build_potential, emit_csv, main, run,
+                         validate_config)
 from robustq.errors import ConfigError
 from robustq.grid import Grid1D, ScalarField
 
@@ -129,6 +132,56 @@ class TestEmitCsv:
             emit_csv({"x": np.array(["not-a-number"])}, str(path))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind,n_random", [(np.float64, 10 ** 6),
+                                               (np.float32, 10 ** 5)])
+    def test_floats_written_as_format_17g(self, kind, n_random, tmp_path):
+        # each value as format(float(v), ".17g") writes it, one per line
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = stress_floats(n_random).astype(kind)
+        path = tmp_path / "t.csv"
+        emit_csv({"x": values}, str(path))
+        lines = map(format, values.tolist(), itertools.repeat(".17g"))
+        assert path.read_bytes() \
+            == ("x\n" + "\n".join(lines) + "\n").encode()
+
+    def test_float_table_memory_is_bounded(self, tmp_path):
+        # tise-solve's states.csv at 20,001 nodes and 8 states
+        columns = {f"c{j}": np.random.default_rng(j).standard_normal(20001)
+                   for j in range(9)}
+        emit_csv(columns, str(tmp_path / "warm.csv"))  # builds the tables
+        tracemalloc.start()
+        try:
+            emit_csv(columns, str(tmp_path / "t.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
+
+def stress_floats(n_random=10 ** 6):
+    """Doubles where a 17-digit formatter is likeliest to slip: each power
+    of ten from 1e-300 to 1e299, one and two ulps below and one above, also
+    halved and times 9.999999999999999, with both signs; 1 + 2**-k, exact
+    ties at 17 digits; whole numbers; dyadic fractions; short decimals;
+    subnormals and the specials; then ``n_random`` random bit patterns."""
+    rng = np.random.default_rng(20260601)
+    powers = np.array([float(f"1e{j}") for j in range(-300, 300)])
+    below = np.nextafter(powers, 0.0)
+    near = np.concatenate([powers, below, np.nextafter(below, 0.0),
+                           np.nextafter(powers, math.inf)])
+    near = np.concatenate([near, 0.5 * near, 9.999999999999999 * near])
+    short = [float(f"{d}e{e}") for d, e in zip(
+        rng.integers(1, 10 ** 6, 10 ** 4).tolist(),
+        rng.integers(-30, 30, 10 ** 4).tolist())]
+    subnormal = rng.integers(1, 2 ** 52, 1000, dtype=np.uint64) \
+        .view(np.float64)
+    return np.concatenate([
+        near, -near, 1.0 + 2.0 ** -np.arange(1, 53),
+        np.arange(-10 ** 4, 10 ** 4 + 1), np.arange(-2 ** 14, 2 ** 14) / 1024,
+        short, subnormal, -subnormal, float_specials(np.float64),
+        rng.integers(0, 2 ** 64, n_random, dtype=np.uint64).view(np.float64)])
+
 
 def reference_csv(columns):
     """The per-value emitter the chunked one replaced: the bytes it wrote."""
@@ -186,12 +239,17 @@ class TestEmitCsvOracle:
 
     KINDS = (np.int64, np.uint64, bool, np.float32, np.float64, object)
 
+    # straddling the bulk path's size rule (at four columns and at one)
+    # and its chunk
+    N_ROWS = [0, 1, 7, _BULK_MIN_VALUES // 4 - 1, _BULK_MIN_VALUES // 4,
+              _BULK_MIN_VALUES - 1, _BULK_MIN_VALUES, EMIT_CHUNK_ROWS - 1,
+              EMIT_CHUNK_ROWS, EMIT_CHUNK_ROWS + 1, 2 * EMIT_CHUNK_ROWS + 3]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=60)
     @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=4),
-           n_rows=st.sampled_from([0, 1, 7, EMIT_CHUNK_ROWS - 1,
-                                   EMIT_CHUNK_ROWS, EMIT_CHUNK_ROWS + 1]),
-           seed=st.integers(0, 2 ** 32 - 1))
+           n_rows=st.sampled_from(N_ROWS), seed=st.integers(0, 2 ** 32 - 1))
     def test_bytes_equal_per_value_reference(self, kinds, n_rows, seed):
         rng = np.random.default_rng(seed)
         columns = {f"c{j}": random_column(kind, n_rows, rng)
@@ -894,6 +952,12 @@ class TestRangeChecks:
                           {"x0": 1e154}, {"k0": 1e308})],
         ("gauge-check", {"initial": {"kind": "gaussian", "k0": 1e308}},
          "parameters.initial"),
+        # a gauge transform that overflows on the grid
+        ("gauge-check", {"charge": 1e308}, "physics.charge"),
+        ("gauge-check", {"charge": -1e308}, "physics.charge"),
+        *[("gauge-check", {"n_points": 101, "t_final": 0.01, "chi": {
+            "kind": "x_sin_t", "amplitude": amplitude}}, "parameters.chi")
+          for amplitude in (1e308, -1e308)],
     ]
 
     @pytest.mark.parametrize("experiment,params,key", CASES)

@@ -31,8 +31,7 @@ from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__
-from . import (_csvfloat, dynamic, eprb, inference, rng, stationary,
-               sterngerlach)
+from . import dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
 from .grid import (Grid1D, ScalarField, WaveField, _dot, kinetic_bands,
                    normalized_wave)
@@ -471,6 +470,9 @@ def _csv_chunks(names, arrays, n_rows: int):
     yield (",".join(names) + "\n").encode("utf-8")
     if n_rows * len(arrays) >= _BULK_MIN_VALUES and all(
             a.ndim == 1 and a.dtype.kind in "fb" for a in arrays):
+        # imported here, so a run whose tables are all small or hold
+        # integers (count-maximizer, a 65-angle scan) never loads it
+        from . import _csvfloat
         yield from _csvfloat.row_chunks(arrays, n_rows, EMIT_CHUNK_ROWS)
         return
     formats = [_column_format(a) for a in arrays]

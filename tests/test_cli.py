@@ -241,9 +241,10 @@ class TestEmitCsvOracle:
 
     # straddling the bulk path's size rule (at four columns and at one)
     # and its chunk
-    N_ROWS = [0, 1, 7, _BULK_MIN_VALUES // 4 - 1, _BULK_MIN_VALUES // 4,
-              _BULK_MIN_VALUES - 1, _BULK_MIN_VALUES, EMIT_CHUNK_ROWS - 1,
-              EMIT_CHUNK_ROWS, EMIT_CHUNK_ROWS + 1, 2 * EMIT_CHUNK_ROWS + 3]
+    N_ROWS = sorted({0, 1, 7, _BULK_MIN_VALUES // 4 - 1, _BULK_MIN_VALUES // 4,
+                     _BULK_MIN_VALUES - 1, _BULK_MIN_VALUES,
+                     EMIT_CHUNK_ROWS - 1, EMIT_CHUNK_ROWS, EMIT_CHUNK_ROWS + 1,
+                     2 * EMIT_CHUNK_ROWS + 3})
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(derandomize=True, database=None, deadline=None,

@@ -22,8 +22,9 @@ depend on how the CPU evaluates log10: a log10 off by an ulp costs a second
 pass or a fallback, never a wrong digit.  Zeros are written directly.
 Every other value (NaN, infinities, subnormals, the ends of the range,
 near-ties, an exponent still unconfirmed) goes through ``format(v,
-".17g")``, as Ryu falls back on exact arithmetic where its tables cannot
-decide (Adams, "Ryu: fast float-to-string conversion", PLDI 2018).
+".17g")``: a fast path that decides most values beside an exact one for
+the rest, as in Ryu (Adams, "Ryu: fast float-to-string conversion", PLDI
+2018).
 
 Each value's text is laid out in a 32-byte slot, every field at a fixed
 place and 0 where the value has none of it:
@@ -52,7 +53,7 @@ _K_MAX = 281  # |k| there, after a correction step or a carry
 _TIE = 1e-9  # |frac(t) - 1/2| at or below this falls back; t errs < 1e-13
 _N_LOW, _N_HIGH = 10 ** 16, 10 ** 17
 
-SLOT = 32
+_SLOT = 32
 _PREFIX, _DIGITS, _EXP, _SEP = 1, 6, 24, 29  # byte offsets in a slot
 # layouts: "0.000ddd" at exponents -4..-1, "ddd.ddd" at 0..16, then "d.ddde+x"
 _LAYOUTS = 22
@@ -62,7 +63,7 @@ class _Tables(NamedTuple):
     power: tuple  # H, L, H's Veltkamp halves: 10**(16 - k) at _K_MAX - k
     group: np.ndarray  # "0000".."9999" as uint32
     group_sig: np.ndarray  # (4, 10000): N's significant digits to group j
-    a_mask: np.ndarray  # (layouts * 18, SLOT): digits before the point
+    a_mask: np.ndarray  # (layouts * 18, _SLOT): digits before the point
     b_mask: np.ndarray  # the same, digits after the point
     dot: np.ndarray  # the point
     frame: np.ndarray  # sign, prefix, exponent and separator bytes of each
@@ -101,7 +102,7 @@ def _layout_tables():
     keep = np.where(fixed & (exponent >= 0), np.maximum(s, whole), s)
     point = np.where((s > whole) & (whole > 0), whole, 18)
     r = np.arange(18)[None, :]  # place in the digit field
-    a_mask = np.zeros((layout.size, SLOT), np.uint8)
+    a_mask = np.zeros((layout.size, _SLOT), np.uint8)
     b_mask = np.zeros_like(a_mask)
     dot = np.zeros_like(a_mask)
     a_mask[:, _DIGITS:_EXP] = 255 * ((r < point[:, None])
@@ -114,7 +115,7 @@ def _layout_tables():
 
 def _frame_table():
     x = np.arange(-_K_MAX, _K_MAX + 1)
-    frame = np.zeros((x.size, 2, 2, SLOT), np.uint8)  # exponent, sign, last
+    frame = np.zeros((x.size, 2, 2, _SLOT), np.uint8)  # exponent, sign, last
     frame[:, 1, :, 0] = ord("-")
     frame[:, :, 0, _SEP] = ord(",")
     frame[:, :, 1, _SEP] = ord("\n")
@@ -131,7 +132,7 @@ def _frame_table():
     frame[sci, :, :, _EXP + 2] = np.where(mag >= 100, 48 + mag // 100, 0)
     frame[sci, :, :, _EXP + 3] = 48 + mag // 10 % 10
     frame[sci, :, :, _EXP + 4] = 48 + mag % 10
-    return frame.reshape(-1, SLOT)
+    return frame.reshape(-1, _SLOT)
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,7 +193,7 @@ def _significands(a, power):
 
 def _digit_words(n, tables):
     """(words, s): N's 17 ASCII digits at bytes 7-23 of each row of the
-    (size, SLOT // 4) uint32 ``words``, and s, its digits up to the last
+    (size, _SLOT // 4) uint32 ``words``, and s, its digits up to the last
     nonzero one (0 for N = 0)."""
     high = n // 100_000_000  # 9 digits, then 8
     low = (n - high * 100_000_000).astype(np.int32)
@@ -201,7 +202,7 @@ def _digit_words(n, tables):
     mid = high - lead * 100_000_000
     g1, g3 = mid // 10_000, low // 10_000
     groups = (lead, g1, mid - g1 * 10_000, g3, low - g3 * 10_000)
-    words = np.empty((n.size, SLOT // 4), np.uint32)
+    words = np.empty((n.size, _SLOT // 4), np.uint32)
     for j, g in enumerate(groups):
         tables.group.take(g, out=words[:, 1 + j])
     s = (lead > 0).astype(np.int8)
@@ -212,7 +213,7 @@ def _digit_words(n, tables):
 
 def _fill_slots(slots, x, last, tables) -> None:
     """Lay out each value of the flat float64 array ``x`` in its row of the
-    uint8 ``slots`` (size, SLOT); ``last`` is 1 where the value ends a row."""
+    uint8 ``slots`` (size, _SLOT); ``last`` is 1 where the value ends a row."""
     bits = x.view(np.uint64)
     magnitude_bits = bits & np.uint64(0x7FFF_FFFF_FFFF_FFFF)
     biased = (magnitude_bits >> np.uint64(52)).astype(np.int16)
@@ -260,7 +261,7 @@ def row_chunks(arrays: List[np.ndarray], n_rows: int,
     tables = _tables()
     m = len(arrays)
     rows = min(chunk_rows, n_rows)
-    slots = np.empty((rows * m, SLOT), np.uint8)  # one buffer for every chunk
+    slots = np.empty((rows * m, _SLOT), np.uint8)  # one buffer for every chunk
     values = np.empty((rows, m))
     last = np.tile(np.arange(m) == m - 1, rows).astype(np.int64)
     for start in range(0, n_rows, chunk_rows):

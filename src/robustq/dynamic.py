@@ -166,11 +166,14 @@ class _CNOperator(NamedTuple):
     lu: Optional[tuple]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused by the solve
 def _cn_operator(fields: GaugeField, a: np.ndarray, v: np.ndarray,
                  config: PropagatorConfig) -> _CNOperator:
     """The operator of the tridiagonal H on the interior nodes, from A at
     the link midpoints (``a``) and V at the nodes (``v``): the real bands
-    of :func:`grid.kinetic_bands`, the off-diagonal times the link phases."""
+    of :func:`grid.kinetic_bands`, the off-diagonal times the link phases.
+    Bands that are not finite raise LinearSolveError, with no
+    floating-point warning."""
     h, hbar = config.grid.spacing, config.hbar
     _, diag, off = kinetic_bands(config.mass, config.lam, h, v)
     link_phase = (fields.charge / (hbar * fields.light_speed)) * h * a

@@ -364,7 +364,8 @@ def evidence_quadratic(family: OutcomeTable, theta, epsilon,
     ``cubic_remainder_bound`` is computed from the evidence at the mirrored
     displacement: with R(eps) = Ev(eps) - prediction, the odd part
     (R(eps) - R(-eps))/2 and even part (R(eps) + R(-eps))/2 bound
-    |R(eps)| <= |odd| + |even|.
+    |R(eps)| <= |odd| + |even|.  A displacement so large that the
+    prediction or the bound is not finite raises DomainError.
     """
     theta = _theta_of(family, theta)
     epsilon = np.atleast_1d(np.asarray(epsilon, dtype=float))
@@ -373,13 +374,18 @@ def evidence_quadratic(family: OutcomeTable, theta, epsilon,
     ev_plus = _robust_evidence(family, theta, epsilon, trials)
     ev_minus = _robust_evidence(family, theta, -epsilon, trials)
     info = fisher_discrete(family, theta)
-    quad = -0.5 * trials * float(epsilon @ info.matrix @ epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        quad = -0.5 * trials * float(epsilon @ info.matrix @ epsilon)
     odd = 0.5 * ((ev_plus - quad) - (ev_minus - quad))
     even = 0.5 * ((ev_plus - quad) + (ev_minus - quad))
+    bound = abs(odd) + abs(even)
+    if not (math.isfinite(quad) and math.isfinite(bound)):
+        raise DomainError(f"the quadratic prediction ({quad!r}) or the "
+                          f"remainder bound ({bound!r}) is not finite")
     return EvidenceReport(log_evidence=ev_plus,
                           epsilon=tuple(epsilon),
                           quadratic_prediction=quad,
-                          cubic_remainder_bound=abs(odd) + abs(even))
+                          cubic_remainder_bound=bound)
 
 
 def evidence_bound_check(family: OutcomeTable, theta, epsilon) -> BoundCheck:

@@ -370,6 +370,7 @@ def _lbfgs_direction(grad, pairs, amplitude, solve_m, gamma):
     return q
 
 
+@np.errstate(over="ignore", invalid="ignore")  # such values raise, below
 def minimize_functional(problem: StationaryProblem, grid: Grid1D,
                         init: Tuple[ScalarField, ScalarField],
                         max_iter: int = 200_000, tol: float = 1e-15
@@ -410,7 +411,7 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     float-representable decrease (a stationary point on the sphere), or at
     ``max_iter``; only the last case reports ``converged=False`` with the
     best iterate.  An objective, gradient or search direction that is not
-    finite raises ConvergenceError.
+    finite raises ConvergenceError, with no floating-point warning.
     """
     density0, action0 = init
     g = _require_shared_grid(density0, action0, problem.potential)

@@ -3,6 +3,7 @@ reproducibility, and exit codes."""
 
 import concurrent.futures
 import contextlib
+import csv
 import decimal
 import io
 import itertools
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,10 +23,10 @@ from hypothesis import given, settings, strategies as st
 
 import robustq
 from robustq import stationary
-from robustq.cli import (_BULK_MIN_VALUES, EMIT_CHUNK_ROWS, EXPERIMENTS,
-                         build_potential, emit_csv, main, run,
+from robustq.cli import (_BULK_MIN_VALUES, _SCHEMAS, _TOP, EMIT_CHUNK_ROWS,
+                         EXPERIMENTS, build_potential, emit_csv, main, run,
                          validate_config)
-from robustq.errors import ConfigError
+from robustq.errors import ConfigError, RobustqError
 from robustq.grid import Grid1D, ScalarField
 
 
@@ -718,7 +720,6 @@ class TestMinimizeRun:
                              skiprows=1, usecols=1)
         assert density[0] == 0.0 and density[-1] == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("params", [
         {"x_min": -1e154, "n_points": 101}, {"x_max": 1e154, "n_points": 101},
         {"x_min": -1e100},
@@ -1050,3 +1051,163 @@ class TestRangeChecks:
                                                       params):
         validate_config({"experiment": experiment, "seed": 1,
                          "parameters": params})
+
+
+def numeric_leaves(fields, parts=()):
+    """(key path, Field) of every number a config can set under ``fields``:
+    a kind table's members under each of its kinds, whose step in the path
+    is a (key, kind) pair, and the first entry of each list."""
+    for key, field in fields.items():
+        if field.kinds:
+            for kind, members in field.kinds.items():
+                yield from numeric_leaves(members, parts + ((key, kind),))
+        elif field.fields:
+            yield from numeric_leaves(field.fields, parts + (key,))
+        elif field.type is list:
+            yield parts + (key, 0), field.items
+        elif field.type in (int, float):
+            yield parts + (key,), field
+
+
+def with_leaf(base, parts, value):
+    """A copy of the config ``base`` with the leaf at ``parts`` set to
+    ``value``; a (key, kind) step resets that object to the bare kind, so
+    its other members take their defaults."""
+    raw = json.loads(json.dumps(base))
+    node = raw
+    for part in parts[:-1]:
+        if isinstance(part, tuple):
+            node[part[0]] = {"kind": part[1]}
+            part = part[0]
+        elif isinstance(node, dict):
+            node.setdefault(part, {})
+        node = node[part]
+    node[parts[-1]] = value
+    return raw
+
+
+def path_name(parts):
+    return key_path([f"{p[0]}[{p[1]}]" if isinstance(p, tuple) else p
+                     for p in parts])
+
+
+class TestContractOracle:
+    """The exit-status contract on cases generated from the config schema:
+    one numeric leaf at a time, of every experiment's physics, parameters
+    and kind members, set to an extreme value on a small run.  Each case
+    exits 2, or ends ok or with a RobustqError, and writes nothing to
+    stderr and raises no warning; an ok run's CSVs are finite outside the
+    documented cells.  Leaves that set a run's size are only validated:
+    2**63 - 1 trials is a valid config that runs for hours."""
+
+    BASES = {  # the first base holding a leaf's list serves that leaf
+        "eprb-scan": [{"seed": 1, "parameters": {"trials": 1000}}],
+        "eprb-simulate": [{"seed": 1,
+                           "parameters": {"theta": 1.0, "trials": 1000}}],
+        "sg-scan": [{"seed": 1, "parameters": {"trials": 1000}}],
+        "evidence": [{"parameters": {"theta": 1.0, "trials": 1000,
+                                     "epsilons": [0.01]}}],
+        "count-maximizer": [
+            {"parameters": {"n_outcomes": 2, "n_total": 3,
+                            "probs": [0.5, 0.5]}},
+            {"parameters": {"n_outcomes": 2, "n_total": 3,
+                            "counts": [1, 2]}}],
+        "tise-solve": [{"parameters": {"n_points": 101}}],
+        "tise-minimize": [{"parameters": {"n_points": 101, "max_iter": 50}}],
+        "tdse-run": [{"parameters": {"n_points": 101, "t_final": 0.01}}],
+        "gauge-check": [{"parameters": {"n_points": 101, "t_final": 0.01}}],
+    }
+    FLOATS = (1e308, -1e308, 1e154, -1e154, 5e-324, 1e-300, 1e-160, 0.0, -1.0)
+    INTS = (0, -1, 2 ** 31, 2 ** 63 - 1)
+    SIZE_KEYS = {"trials", "steps", "n_points", "t_final", "dt",
+                 "sample_stride", "max_iter", "n_total"}
+    ERRORS = {cls.__name__
+              for cls in [RobustqError, *RobustqError.__subclasses__()]}
+    # a scan's n_sigma is inf where sigma = 0 and the counts differ from
+    # the model; sigma is zero where the model column's variance is
+    VARIANCE = {"E12_model": ("E12_sim", lambda m: 1.0 - m * m),
+                "p_plus_model": ("p_plus_sim", lambda p: p * (1.0 - p))}
+
+    @classmethod
+    def cases(cls, experiment):
+        leaves = [*numeric_leaves(_TOP),
+                  *numeric_leaves(_SCHEMAS[experiment].parameters,
+                                  ("parameters",))]
+        for parts, field in leaves:
+            base = next(base for base in cls.BASES[experiment]
+                        if not isinstance(parts[-1], int)
+                        or parts[-2] in base["parameters"])
+            for value in cls.FLOATS if field.type is float else cls.INTS:
+                raw = with_leaf({"experiment": experiment, **base}, parts,
+                                value)
+                yield f"{experiment} {path_name(parts)}={value!r}", raw, \
+                    parts[-1] in cls.SIZE_KEYS
+
+    def test_cases_cover_every_leaf(self):
+        names = [name for experiment in EXPERIMENTS
+                 for name, _, _ in self.cases(experiment)]
+        assert len(names) == 800
+        assert len(names) == len(set(names))
+        assert "evidence parameters.epsilons[0]=1e+154" in names
+        assert ("count-maximizer parameters.counts[0]=9223372036854775807"
+                in names)
+        assert "gauge-check parameters.chi[constant].value=5e-324" in names
+        assert "tdse-run physics.light_speed=-1.0" in names
+
+    def outcome(self, raw, validate_only, out_dir):
+        """What the case did, or why it broke the contract."""
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                manifest = (validate_config(raw) if validate_only
+                            else run(raw, output_dir=out_dir))
+            except ConfigError:
+                manifest = None
+        noise = [str(w.message) for w in caught] + [err.getvalue()]
+        if any(noise):
+            return f"stderr or warnings: {noise}"
+        if manifest is None or validate_only:
+            return "exit 2" if manifest is None else "valid"
+        if manifest.status != "ok":
+            return ("exit 3" if manifest.error in self.ERRORS
+                    else f"not a RobustqError: {manifest.error}")
+        for entry in manifest.output_files:
+            bad = self.non_finite(os.path.join(out_dir, entry["name"]))
+            if bad:
+                return f"{entry['name']} not finite at {bad}"
+        return "ok"
+
+    def non_finite(self, path):
+        """(row, column) of each non-finite cell outside the documented
+        ones: hje_residual in the first and last trace rows, and n_sigma
+        where sigma = 0 and the counts differ from the model."""
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        bad = []
+        for i, row in enumerate(rows):
+            for column, cell in row.items():
+                if cell not in ("nan", "inf", "-inf"):
+                    continue
+                if column == "hje_residual" and i in (0, len(rows) - 1):
+                    continue
+                if column == "n_sigma" and cell == "inf":
+                    model, (sim, variance) = next(
+                        (name, rule) for name, rule in self.VARIANCE.items()
+                        if name in row)
+                    if variance(float(row[model])) <= 0 \
+                            and row[sim] != row[model]:
+                        continue
+                bad.append((i, column))
+        return bad
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_each_leaf_keeps_the_contract(self, experiment, tmp_path):
+        broken = []
+        for n, (name, raw, validate_only) in enumerate(
+                self.cases(experiment)):
+            result = self.outcome(raw, validate_only, str(tmp_path / str(n)))
+            if result not in ("valid", "exit 2", "exit 3", "ok"):
+                broken.append(f"{name}: {result}")
+        assert not broken

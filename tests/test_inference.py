@@ -8,6 +8,7 @@ asserted against the library.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,16 @@ class TestEvidenceQuadratic:
         family = singlet_family_table(0.0)  # perfect anticorrelation: zeros
         with pytest.raises(DomainError):
             evidence_quadratic(family, [0.0], [1e-3], 100)
+
+    @pytest.mark.parametrize("eps", [1e154, -1e154, 1e308])
+    def test_non_finite_prediction_raises_silently(self, eps):
+        # N eps' I eps overflows: the prediction was -inf, the bound nan,
+        # and at 1e308 the matrix product warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                evidence_quadratic(singlet_family_table(1.0), [1.0], [eps],
+                                   1000)
 
 
 class TestEvidenceBoundCheck:

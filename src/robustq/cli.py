@@ -55,6 +55,7 @@ class RunConfig:
     physics: Physics
     seed: Optional[int]
     output_dir: str
+    arrays: Optional[GridArrays] = None  # the grid experiments'
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,58 +232,9 @@ def _check_value(value, field: Field, path: str, diags: list):
     return value
 
 
-def _check_kinetic(phys: dict, p: dict, diags: list) -> None:
-    """The grid Hamiltonian of all four grid experiments holds 2c/h^2 on its
-    diagonal; that overflowing, or vanishing, leaves no kinetic term."""
-    h = (p["x_max"] - p["x_min"]) / (p["n_points"] - 1)
-    _, diag, _ = kinetic_bands(phys["mass"], 4.0 / phys["hbar"] ** 2, h)
-    if not 0.0 < diag < math.inf:
-        diags.append(f"physics: the kinetic coefficient c = hbar^2 / 2m must "
-                     f"give a positive, finite 2c/h^2; got {float(diag)!r} "
-                     f"at hbar = {phys['hbar']!r}, mass = {phys['mass']!r}, "
-                     f"h = {h!r}")
-
-
-def _gauge_fault(phys: dict, p: dict, psi0: WaveField) -> Optional[str]:
-    """Why ``gauge-check``'s transform by chi, of the packet and of A and V
-    at t = 0 and at t_final, is not finite on the grid; None if it is."""
-    fields = dynamic.GaugeField(charge=phys["charge"],
-                                light_speed=phys["light_speed"])
-    chi, x = build_chi(p["chi"]), psi0.grid.nodes()
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for t in (0.0, p["t_final"]):
-                psi, gauged = dynamic.gauge_transform(
-                    psi0, fields, chi, t, lam=4.0 / phys["hbar"] ** 2)
-                for values in (psi.values, gauged.a_values(x, t),
-                               gauged.v_values(x, t)):
-                    if not np.all(np.isfinite(values)):
-                        return f"not finite at t = {t!r}"
-    except (ArithmeticError, ValueError) as exc:
-        return f"{exc.args[-1]} at t = {t!r}"
-    return None
-
-
-def _check_gauge(phys: dict, p: dict, psi0: WaveField, diags: list) -> None:
-    """A gauge transform that overflows on the grid is refused at chi if it
-    does so at unit constants, else at the charge that scales it."""
-    fault = _gauge_fault(phys, p, psi0)
-    if fault is None:
-        return
-    unit = dict(phys, charge=1.0, light_speed=1.0, hbar=1.0)
-    if _gauge_fault(unit, p, psi0) is not None:
-        diags.append(f"parameters.chi: the gauge transform is not finite on "
-                     f"the grid: {fault}")
-    else:
-        diags.append(f"physics.charge: the gauge transform by parameters.chi "
-                     f"is not finite on the grid at charge = "
-                     f"{phys['charge']!r}, light_speed = "
-                     f"{phys['light_speed']!r}, hbar = {phys['hbar']!r}: "
-                     f"{fault}")
-
-
-def _check_relations(top: dict, diags: list) -> None:
-    """The rules that span keys, run once every key is valid on its own.
+def _check_relations(top: dict, diags: list) -> Optional[GridArrays]:
+    """The rules that span keys, run once every key is valid on its own,
+    and a grid experiment's arrays, built once the other rules pass.
     Where the library owns a rule, it is asked rather than restated."""
     phys, p = top["physics"], top["parameters"]
     budgets = []  # (key path, what the run needs, budget, unit)
@@ -301,16 +253,6 @@ def _check_relations(top: dict, diags: list) -> None:
     elif "x_min" in p and not math.isfinite(p["x_max"] - p["x_min"]):
         diags.append(f"parameters.x_max: must lie a finite distance from "
                      f"parameters.x_min ({p['x_min']!r}); got {p['x_max']!r}")
-    else:
-        if "x_min" in p and not diags:  # once hbar has passed its rule
-            _check_kinetic(phys, p, diags)
-        for key in ("potential", "scalar_potential", "vector_potential"):
-            for x in (p["x_min"], p["x_max"]) if key in p else ():
-                value = _potential_at(p[key], x)
-                if not math.isfinite(value):
-                    diags.append(f"parameters.{key}: must be finite on "
-                                 f"[x_min, x_max]; got {value!r} at x = {x!r}")
-                    break
     if "n_states" in p and p["n_states"] > p["n_points"] - 2:
         diags.append(f"parameters.n_states: must be at most parameters."
                      f"n_points - 2 ({p['n_points'] - 2}); got {p['n_states']}")
@@ -341,18 +283,12 @@ def _check_relations(top: dict, diags: list) -> None:
             build_model(p["model"])
         except InvalidModelError as exc:
             diags.append(f"parameters.model: {exc}")
-    if "initial" in p and not diags:  # the grid and its size have passed
+    arrays = None
+    if "x_min" in p and not diags:  # the grid and its size have passed
         try:
-            # a packet that overflows, or vanishes at every node, on the grid
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                psi0 = build_initial(p["initial"], _grid_of(p))
-        except (ArithmeticError, ValueError) as exc:
-            # args[-1] is the message; float ** puts an errno before it
-            diags.append(f"parameters.initial: the packet cannot be built "
-                         f"on the grid: {exc.args[-1]}")
-        else:
-            if "chi" in p:
-                _check_gauge(phys, p, psi0, diags)
+            arrays = build_grid_arrays(p, phys)
+        except ConfigError as exc:
+            diags.extend(exc.diagnostics)
     if "n_outcomes" in p:
         given = [key for key in ("probs", "counts") if key in p]
         if len(given) != 1:
@@ -370,6 +306,7 @@ def _check_relations(top: dict, diags: list) -> None:
                 outcomes=range(p["n_outcomes"]), probs=p["probs"])
             diags.extend(f"parameters.probs: {violation}"
                          for violation in inference.validate_table(table))
+    return arrays
 
 
 def validate_config(raw) -> RunConfig:
@@ -389,15 +326,14 @@ def validate_config(raw) -> RunConfig:
     fields = {**_TOP, "seed": seed,
               "parameters": Field(dict, {}, fields=schema.parameters)}
     top = _check_object(raw, fields, "", diags)
-    if not diags:
-        _check_relations(top, diags)
+    arrays = _check_relations(top, diags) if not diags else None
     if diags:
         raise ConfigError(diags)
     phys = top["physics"]
     return RunConfig(experiment=experiment, parameters=top["parameters"],
                      physics=Physics(lam=4.0 / phys["hbar"] ** 2, **phys),
                      seed=top.get("seed"),
-                     output_dir=top["output_dir"])
+                     output_dir=top["output_dir"], arrays=arrays)
 
 
 def _canonical_digest(raw: dict) -> str:
@@ -539,19 +475,6 @@ def build_potential(spec: dict, grid: Grid1D) -> ScalarField:
     return ScalarField(grid, values, kind="potential")
 
 
-def _potential_at(spec: dict, x: float) -> float:
-    """``build_potential``'s value at one point, in Python floats, with an
-    overflow giving inf rather than OverflowError; for a gauge component
-    (harmonic about 0, or bounded in x) that of ``build_gauge_component``.
-    Every kind that varies takes its extremes on an interval at its ends."""
-    if spec["kind"] == "harmonic":
-        d = x - spec.get("center", 0.0)
-        return 0.5 * (spec["omega"] * spec["omega"]) * (d * d)
-    if spec["kind"] == "linear":
-        return spec["slope"] * x
-    return 0.0
-
-
 def build_gauge_component(spec: dict) -> Callable:
     if spec["kind"] == "uniform_sin":  # A(t) = amplitude * sin(omega t)
         amp, omega = spec["amplitude"], spec["omega"]
@@ -587,6 +510,104 @@ def build_model(spec: dict) -> eprb.CorrelationModel:
     if spec["kind"] == "triplet_z0":
         return eprb.CorrelationModel.triplet_z0()
     return eprb.CorrelationModel.general(spec["K"], spec["phi"])
+
+
+class GridArrays(NamedTuple):
+    """What a grid experiment's run starts from, built on the config's grid
+    by :func:`build_grid_arrays`; None where the experiment has no use."""
+
+    grid: Grid1D
+    potential: Optional[ScalarField]  # tise-solve, tise-minimize
+    psi0: Optional[WaveField]  # tdse-run, gauge-check
+    fields: Optional[dynamic.GaugeField]  # tdse-run, gauge-check
+    gauged: Optional[tuple]  # gauge-check: route B's start and fields
+
+
+def _finite(*arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("not finite")
+
+
+def _on_grid(path: str, what: str, build: Callable, *args):
+    """``build(*args)`` under ``np.errstate`` that raises on overflow,
+    division by zero and invalid operations; a failure is a ConfigError
+    at ``path``."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return build(*args)
+    except (ArithmeticError, ValueError) as exc:
+        # args[-1] is the message; float ** puts an errno before it
+        raise ConfigError([f"{path}: {what} cannot be built on the grid: "
+                           f"{exc.args[-1]}"]) from None
+
+
+def build_grid_arrays(p: dict, phys: dict) -> GridArrays:
+    """Every array a grid experiment's run needs, built from its validated
+    parameters ``p`` and ``phys``: the grid, the kinetic bands, the
+    potential, the packet, A on the links and nodes and V on the nodes at
+    t = 0 and t_final, and gauge-check's transforms by chi at both times.
+    Raises ConfigError at the key path whose value makes an array overflow,
+    vanish or not be finite; chi is blamed for a transform that fails at
+    unit constants too, else the charge."""
+    h = (p["x_max"] - p["x_min"]) / (p["n_points"] - 1)
+    lam = 4.0 / phys["hbar"] ** 2
+    _, diag, _ = kinetic_bands(phys["mass"], lam, h)
+    kinetic = ConfigError([
+        f"physics: the kinetic coefficient c = hbar^2 / 2m must give a "
+        f"positive, finite 2c/h^2; got {float(diag)!r} at hbar = "
+        f"{phys['hbar']!r}, mass = {phys['mass']!r}, h = {h!r}"])
+    if not h > 0:  # no grid to build on
+        raise kinetic
+    grid = Grid1D.from_interval(p["x_min"], p["x_max"], p["n_points"])
+    potential = psi0 = fields = gauged = None
+    if "potential" in p:
+        potential = _on_grid("parameters.potential", "the potential",
+                             build_potential, p["potential"], grid)
+    if not 0.0 < diag < math.inf:
+        raise kinetic
+    x = grid.nodes()
+    # finite: where x + x would overflow, so does h^2, and 2c/h^2 is 0
+    links = 0.5 * (x[1:-2] + x[2:-1])
+    if "initial" in p:
+        psi0 = _on_grid("parameters.initial", "the packet", build_initial,
+                        p["initial"], grid)
+    if "vector_potential" in p:  # tdse-run
+        fields = dynamic.GaugeField(
+            A=build_gauge_component(p["vector_potential"]),
+            V=build_gauge_component(p["scalar_potential"]),
+            charge=phys["charge"], light_speed=phys["light_speed"])
+        for t in (0.0, p["t_final"]):
+            _on_grid("parameters.vector_potential", f"A at t = {t!r}",
+                     lambda: _finite(fields.a_values(links, t),
+                                     fields.a_values(x, t)))
+            _on_grid("parameters.scalar_potential", f"V at t = {t!r}",
+                     lambda: _finite(fields.v_values(x, t)))
+    if "chi" in p:  # gauge-check
+        chi = build_chi(p["chi"])
+
+        def transforms(fields, lam):
+            """The transforms at t_final and 0, each array finite: route
+            B's start, normalised, and fields, from the one at 0."""
+            for t in (p["t_final"], 0.0):
+                psi, gauged = dynamic.gauge_transform(psi0, fields, chi, t,
+                                                      lam=lam)
+                _finite(psi.values, gauged.a_values(links, t),
+                        gauged.a_values(x, t), gauged.v_values(x, t))
+            return normalized_wave(grid, psi.values), gauged
+
+        fields = dynamic.GaugeField(charge=phys["charge"],
+                                    light_speed=phys["light_speed"])
+        try:
+            gauged = _on_grid(
+                "physics.charge", f"the gauge transform by parameters.chi "
+                f"at charge = {phys['charge']!r}, light_speed = "
+                f"{phys['light_speed']!r}, hbar = {phys['hbar']!r}",
+                transforms, fields, lam)
+        except ConfigError:
+            _on_grid("parameters.chi", "the gauge transform", transforms,
+                     dynamic.GaugeField(), 4.0)
+            raise
+    return GridArrays(grid, potential, psi0, fields, gauged)
 
 
 # ---------------------------------------------------------------------------
@@ -726,23 +747,17 @@ def _run_count_maximizer(config: RunConfig):
     return out
 
 
-def _grid_of(params) -> Grid1D:
-    return Grid1D.from_interval(params["x_min"], params["x_max"],
-                                params["n_points"])
-
-
-def _stationary_problem(config: RunConfig, grid: Grid1D, energy: float = 0.0):
-    potential = build_potential(config.parameters["potential"], grid)
+def _stationary_problem(config: RunConfig, energy: float = 0.0):
     phys = config.physics
-    return stationary.StationaryProblem(potential=potential, energy=energy,
-                                        mass=phys.mass, hbar=phys.hbar)
+    return stationary.StationaryProblem(potential=config.arrays.potential,
+                                        energy=energy, mass=phys.mass,
+                                        hbar=phys.hbar)
 
 
 def _run_tise_solve(config: RunConfig):
-    params = config.parameters
-    grid = _grid_of(params)
-    problem = _stationary_problem(config, grid)
-    states = stationary.solve_eigen(problem, grid, params["n_states"])
+    grid = config.arrays.grid
+    states = stationary.solve_eigen(_stationary_problem(config), grid,
+                                    config.parameters["n_states"])
     x = grid.nodes()
     columns = {"x": x}
     for k, (_, wave) in enumerate(states):
@@ -759,15 +774,14 @@ def _run_tise_solve(config: RunConfig):
 def _run_tise_minimize(config: RunConfig):
     """One ``minimize_functional`` call from the uniform density at the
     eigensolver's ground-state energy, cross-checked against that state."""
-    params = config.parameters
-    grid = _grid_of(params)
+    params, grid = config.parameters, config.arrays.grid
     (energy0, ground) = stationary.solve_eigen(
-        _stationary_problem(config, grid), grid, 1)[0]
+        _stationary_problem(config), grid, 1)[0]
     n = grid.n_points
     uniform = np.ones(n)
     uniform /= grid.spacing * uniform.sum()
     result = stationary.minimize_functional(
-        _stationary_problem(config, grid, energy=energy0), grid,
+        _stationary_problem(config, energy=energy0), grid,
         (ScalarField(grid, uniform, kind="density"),
          ScalarField(grid, np.zeros(n), kind="action")),
         max_iter=params["max_iter"], tol=params["tol"])
@@ -789,25 +803,18 @@ def _run_tise_minimize(config: RunConfig):
     }
 
 
-def _propagator(config: RunConfig, grid: Grid1D, sample_stride: int):
+def _propagator(config: RunConfig, sample_stride: int):
     params, phys = config.parameters, config.physics
-    return dynamic.PropagatorConfig(grid=grid, dt=params["dt"],
+    return dynamic.PropagatorConfig(grid=config.arrays.grid, dt=params["dt"],
                                     t_final=params["t_final"],
                                     mass=phys.mass, hbar=phys.hbar,
                                     sample_stride=sample_stride)
 
 
 def _run_tdse(config: RunConfig):
-    params = config.parameters
-    grid = _grid_of(params)
-    psi0 = build_initial(params["initial"], grid)
-    fields = dynamic.GaugeField(
-        A=build_gauge_component(params["vector_potential"]),
-        V=build_gauge_component(params["scalar_potential"]),
-        charge=config.physics.charge,
-        light_speed=config.physics.light_speed)
-    prop = _propagator(config, grid, params["sample_stride"])
-    final, trace = dynamic.propagate(psi0, fields, prop)
+    arrays = config.arrays
+    prop = _propagator(config, config.parameters["sample_stride"])
+    final, trace = dynamic.propagate(arrays.psi0, arrays.fields, prop)
     return {
         "trace.csv": {
             "t": trace.times, "norm": trace.norm, "mean_x": trace.mean_x,
@@ -815,7 +822,7 @@ def _run_tdse(config: RunConfig):
             "hje_residual": trace.hje_residual,
         },
         "final_state.csv": {
-            "x": grid.nodes(),
+            "x": arrays.grid.nodes(),
             "re_psi": final.values.real,
             "im_psi": final.values.imag,
         },
@@ -823,23 +830,14 @@ def _run_tdse(config: RunConfig):
 
 
 def _run_gauge_check(config: RunConfig):
-    params = config.parameters
-    grid = _grid_of(params)
-    psi0 = build_initial(params["initial"], grid)
-    phys = config.physics
-    chi = build_chi(params["chi"])
-    fields = dynamic.GaugeField(charge=phys.charge,
-                                light_speed=phys.light_speed)
-    prop = _propagator(config, grid, 10 ** 9)
-    t_final = params["t_final"]
-
-    evolved, _ = dynamic.propagate(psi0, fields, prop)
-    route_a, _ = dynamic.gauge_transform(evolved, fields, chi, t_final,
-                                         lam=phys.lam)
-    start_b, fields_b = dynamic.gauge_transform(psi0, fields, chi, 0.0,
-                                                lam=phys.lam)
-    start_b = normalized_wave(grid, start_b.values)
-    route_b, _ = dynamic.propagate(start_b, fields_b, prop)
+    params, arrays = config.parameters, config.arrays
+    prop = _propagator(config, 10 ** 9)
+    evolved, _ = dynamic.propagate(arrays.psi0, arrays.fields, prop)
+    route_a, _ = dynamic.gauge_transform(evolved, arrays.fields,
+                                         build_chi(params["chi"]),
+                                         params["t_final"],
+                                         lam=config.physics.lam)
+    route_b, _ = dynamic.propagate(*arrays.gauged, prop)
 
     density_diff = float(np.max(np.abs(route_a.density_values()
                                        - route_b.density_values())))

@@ -167,8 +167,9 @@ def kinetic_bands(mass: float, lam: float, spacing: float, potential=0.0):
     """Kinetic coefficient c = 2 / (m lambda), hbar^2 / 2m at lambda =
     4 / hbar^2, and the 3-point bands of -c d^2/dx^2 + V on the interior
     nodes: diagonal 2c/h^2 + ``potential``, off-diagonal -c/h^2.  An
-    overflow, or m lambda vanishing, gives inf, with no warning."""
-    with np.errstate(divide="ignore", over="ignore"):
+    overflow, or m lambda vanishing, gives inf, or nan where inf meets inf,
+    with no warning."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         c, h2 = 2.0 / np.float64(mass * lam), np.float64(spacing) ** 2
         return c, 2.0 * c / h2 + potential, -(c / h2)
 

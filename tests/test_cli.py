@@ -492,6 +492,35 @@ class TestAllExperimentsSmoke:
             assert (tmp_path / entry["name"]).exists()
 
 
+class TestArraysBuiltOnce:
+    """Validation builds the grid arrays the run starts from, and the
+    handlers build none of them again."""
+
+    @pytest.mark.parametrize("experiment,expected", [
+        ("tise-solve", {"build_potential": 1}),
+        ("tise-minimize", {"build_potential": 1}),
+        ("tdse-run", {"build_initial": 1}),
+        # validation's at t = 0 and t_final, and route A's of the evolved
+        ("gauge-check", {"build_initial": 1, "gauge_transform": 3}),
+    ])
+    def test_each_array_built_once(self, experiment, expected, tmp_path,
+                                   monkeypatch):
+        calls = {}
+        for module, name in ((robustq.cli, "build_initial"),
+                             (robustq.cli, "build_potential"),
+                             (robustq.dynamic, "gauge_transform")):
+            def counted(*args, _original=getattr(module, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        manifest = run({"experiment": experiment,
+                        **TestAllExperimentsSmoke.CONFIGS[experiment]},
+                       output_dir=str(tmp_path))
+        assert manifest.status == "ok"
+        assert calls == expected
+
+
 # a key path as the diagnostics print it, e.g. parameters.epsilons[0]
 KEY_PATH = r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*|\[\d+\])*"
 

@@ -283,12 +283,6 @@ def _check_relations(top: dict, diags: list) -> Optional[GridArrays]:
             build_model(p["model"])
         except InvalidModelError as exc:
             diags.append(f"parameters.model: {exc}")
-    arrays = None
-    if "x_min" in p and not diags:  # the grid and its size have passed
-        try:
-            arrays = build_grid_arrays(p, phys)
-        except ConfigError as exc:
-            diags.extend(exc.diagnostics)
     if "n_outcomes" in p:
         given = [key for key in ("probs", "counts") if key in p]
         if len(given) != 1:
@@ -306,7 +300,11 @@ def _check_relations(top: dict, diags: list) -> Optional[GridArrays]:
                 outcomes=range(p["n_outcomes"]), probs=p["probs"])
             diags.extend(f"parameters.probs: {violation}"
                          for violation in inference.validate_table(table))
-    return arrays
+    if "x_min" in p and not diags:  # the grid and its size have passed
+        try:
+            return build_grid_arrays(p, phys)
+        except ConfigError as exc:
+            diags.extend(exc.diagnostics)
 
 
 def validate_config(raw) -> RunConfig:
@@ -542,13 +540,14 @@ def _on_grid(path: str, what: str, build: Callable, *args):
 
 
 def build_grid_arrays(p: dict, phys: dict) -> GridArrays:
-    """Every array a grid experiment's run needs, built from its validated
-    parameters ``p`` and ``phys``: the grid, the kinetic bands, the
-    potential, the packet, A on the links and nodes and V on the nodes at
-    t = 0 and t_final, and gauge-check's transforms by chi at both times.
-    Raises ConfigError at the key path whose value makes an array overflow,
-    vanish or not be finite; chi is blamed for a transform that fails at
-    unit constants too, else the charge."""
+    """What a grid experiment's run starts from, built from its validated
+    parameters ``p`` and physics ``phys``: the grid, the potential, the
+    packet, the fields, and gauge-check's transform by chi at t = 0.  The
+    kinetic diagonal 2c/h^2 is checked too, as are A on the links and
+    nodes and V on the nodes, and gauge-check's transform, at t = 0 and
+    t_final.  Raises ConfigError at the key path whose value makes an
+    array overflow, vanish or not be finite; chi is blamed for a transform
+    that fails at unit constants too, else the charge."""
     h = (p["x_max"] - p["x_min"]) / (p["n_points"] - 1)
     lam = 4.0 / phys["hbar"] ** 2
     _, diag, _ = kinetic_bands(phys["mass"], lam, h)
@@ -559,18 +558,19 @@ def build_grid_arrays(p: dict, phys: dict) -> GridArrays:
     if not h > 0:  # no grid to build on
         raise kinetic
     grid = Grid1D.from_interval(p["x_min"], p["x_max"], p["n_points"])
-    potential = psi0 = fields = gauged = None
+    potential = fields = gauged = None
     if "potential" in p:
         potential = _on_grid("parameters.potential", "the potential",
                              build_potential, p["potential"], grid)
     if not 0.0 < diag < math.inf:
         raise kinetic
+    if "initial" not in p:  # tise-solve, tise-minimize
+        return GridArrays(grid, potential, None, None, None)
+    psi0 = _on_grid("parameters.initial", "the packet", build_initial,
+                    p["initial"], grid)
     x = grid.nodes()
     # finite: where x + x would overflow, so does h^2, and 2c/h^2 is 0
     links = 0.5 * (x[1:-2] + x[2:-1])
-    if "initial" in p:
-        psi0 = _on_grid("parameters.initial", "the packet", build_initial,
-                        p["initial"], grid)
     if "vector_potential" in p:  # tdse-run
         fields = dynamic.GaugeField(
             A=build_gauge_component(p["vector_potential"]),

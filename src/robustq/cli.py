@@ -55,7 +55,7 @@ class RunConfig:
     physics: Physics
     seed: Optional[int]
     output_dir: str
-    arrays: Optional[GridArrays] = None  # the grid experiments'
+    arrays: Optional[GridArrays] = None  # a grid experiment's, from validation
 
 
 @dataclass(frozen=True, eq=False)

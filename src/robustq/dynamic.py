@@ -157,9 +157,10 @@ def observables(psi: WaveField) -> Observables:
 
 class _CNOperator(NamedTuple):
     """One step's Crank-Nicolson operator: the explicit half 1 - rH and
-    the implicit half 1 + rH (r = i dt / 2 hbar) as solve_banded's bands,
-    with the LU factors of ``?gttrf`` (None below three interior nodes,
-    which the LAPACK wrappers refuse)."""
+    the implicit half 1 + rH (r = i dt / 2 hbar) as three bands in the
+    layout of ``scipy.linalg.solve_banded((1, 1), ...)``, with the LU
+    factors of ``zgttrf`` (None below three interior nodes, which the
+    LAPACK wrappers refuse)."""
 
     explicit: np.ndarray
     bands: np.ndarray
@@ -186,13 +187,13 @@ def _cn_operator(fields: GaugeField, a: np.ndarray, v: np.ndarray,
     bands[0, 1:] = r * (off * hop)
     bands[1, :] = 1.0 + r * diag
     bands[2, :-1] = r * (off * np.conj(hop))
+    if not np.all(np.isfinite(bands.view(float))):
+        raise LinearSolveError("tridiagonal solve failed: array must "
+                               "not contain infs or NaNs")
     lu = None
     if n >= 3:
         # gttrf + gttrs make the same eliminations as solve_banded's gtsv
-        if not np.all(np.isfinite(bands.view(float))):
-            raise LinearSolveError("tridiagonal solve failed: array must "
-                                   "not contain infs or NaNs")
-        from scipy.linalg.lapack import zgttrf  # at the call, as in solve_eigen
+        from ._lapack import zgttrf  # at the call, as in stationary
         *lu, info = zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
         if info != 0:  # an exact zero pivot
             raise LinearSolveError("tridiagonal solve failed: singular matrix")
@@ -221,15 +222,20 @@ def _cn_step(interior: np.ndarray, fields: GaugeField, t_mid: float,
     rhs = op.explicit * interior
     rhs[:-1] -= op.bands[0, 1:] * interior[1:]
     rhs[1:] -= op.bands[2, :-1] * interior[:-1]
-    try:
-        if op.lu is None:
-            from scipy.linalg import solve_banded
-            out = solve_banded((1, 1), op.bands, rhs)
-        else:
-            from scipy.linalg.lapack import zgttrs
-            out, _ = zgttrs(*op.lu, rhs, overwrite_b=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise LinearSolveError(f"tridiagonal solve failed: {exc}") from exc
+    if op.lu is not None:
+        from ._lapack import zgttrs
+        out, _ = zgttrs(*op.lu, rhs, overwrite_b=True)
+    elif rhs.size == 1:
+        out = rhs / op.bands[1, 0]
+    else:
+        # solve_banded's gtsv call, whose copies leave the cached bands as
+        # they are for the next step
+        from ._lapack import zgtsv
+        *_, out, info = zgtsv(op.bands[2, :-1], op.bands[1], op.bands[0, 1:],
+                              rhs)
+        if info > 0:
+            raise LinearSolveError("tridiagonal solve failed: singular "
+                                   "matrix")
     if not np.all(np.isfinite(out.view(float))):
         raise LinearSolveError("tridiagonal solve produced non-finite values")
     return out

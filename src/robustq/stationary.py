@@ -243,18 +243,8 @@ def solve_eigen(problem: StationaryProblem, grid: Grid1D,
     h = grid.spacing
     _, diag, off = kinetic_bands(problem.mass, problem.lam, h,
                                  problem.potential.values[1:-1])
-    # Imported at the call, not with the module: only the grid solvers use
-    # scipy, and loading it costs a process about 0.27 s and 24 MB.  Loading
-    # it earlier in a grid run, at the top of cli.run, left the grid
-    # benchmark's peak RSS no tighter: that spread comes from how the heap
-    # fragments around the large outputs the benchmark keeps (CHANGES.md).
-    from scipy.linalg import eigh_tridiagonal
-    try:
-        energies, vectors = eigh_tridiagonal(
-            diag, np.full(n - 3, off), select="i",
-            select_range=(0, n_states - 1))
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"tridiagonal eigensolve failed: {exc}") from exc
+    energies, vectors = _lowest_eigenpairs(diag, np.full(n - 3, off),
+                                           n_states)
 
     states = []
     for k in range(n_states):
@@ -263,8 +253,40 @@ def solve_eigen(problem: StationaryProblem, grid: Grid1D,
         full /= math.sqrt(h * float((full ** 2).sum()))
         full = _fix_sign(full)
         states.append((float(energies[k]),
-                       WaveField(grid, full.astype(complex), normalized=True)))
+                       WaveField(grid, full, normalized=True)))
     return states
+
+
+def _lowest_eigenpairs(diag: np.ndarray, off: np.ndarray, count: int
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``count`` lowest eigenvalues, ascending, and eigenvectors (the
+    columns) of the symmetric tridiagonal matrix with bands ``diag`` and
+    ``off``.
+
+    These are the LAPACK calls, in order and with the arguments, of
+    ``scipy.linalg.eigh_tridiagonal(diag, off, select="i",
+    select_range=(0, count - 1))``: bisection by ``dstebz`` in block order,
+    inverse iteration by ``dstein``, then a sort by eigenvalue.  A 1x1
+    matrix takes no call.  Bands that are not finite raise ValueError, as
+    there; a LAPACK failure raises ConvergenceError.
+    """
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    if diag.size == 1:
+        return np.array([diag[0]]), np.array([[1.0]])
+    # imported at the call, not with the module, so that only the grid
+    # solvers load scipy (see _lapack)
+    from ._lapack import dstebz, dstein
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, count,
+                                        0.0, "B")
+    if info == 0:
+        w = w[:m]
+        vectors, info = dstein(diag, off, w, iblock, isplit)
+    if info != 0:
+        raise ConvergenceError("tridiagonal eigensolve failed: LAPACK "
+                               f"info={info}")
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
 
 
 def _fix_sign(values: np.ndarray) -> np.ndarray:
@@ -425,8 +447,8 @@ def minimize_functional(problem: StationaryProblem, grid: Grid1D,
     # positive definite.  The two wall rows are unit rows with no coupling,
     # which keeps a direction's wall entries at zero and leaves LAPACK an
     # off-diagonal to take even with one interior node.  dpttrf/dpttrs call
-    # no BLAS; scipy is imported here for the reason given in solve_eigen.
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    # no BLAS.
+    from ._lapack import dpttrf, dpttrs  # at the call, as in the eigensolve
     inner = v[1:-1]
     _, diag, off = kinetic_bands(problem.mass, problem.lam, h,
                                  inner - inner.min())

@@ -5,7 +5,8 @@ The configs are those of the CLI smoke test, plus three count-maximizer
 configs with many tied maximisers, a 40,000-row count-maximizer and a
 5,001-point tise-solve (each spans several emission chunks), a tdse-run
 whose fields change every step, a gauge-check with a constant gauge
-function, and the scan models the smoke configs leave out (triplet_z0,
+function, tise-solve and tdse-run on the smallest grids (one and two
+interior nodes), and the scan models the smoke configs leave out (triplet_z0,
 two general (K, phi) curves and branch -1) at 1,000 trials x 301 angles
 over [-1.3, 7.0].  tise-minimize is left out: its
 iteration count may change legitimately, so the benchmark holds it to
@@ -13,8 +14,10 @@ gates instead of digests.  The recorded bytes were the same with
 OPENBLAS_NUM_THREADS and ROBUSTQ_THREADS both set to 1 and both set to 2.
 
 The last tests run fresh interpreters: only the grid experiments load
-scipy, and the grid solvers write the same bytes when they are the first
-code of their process to load it.
+scipy, none loads ``scipy.linalg``, and the grid solvers write the same
+bytes when they are the first code of their process to load scipy.  The
+LAPACK calls the solvers make give, bit for bit, the results of the
+``scipy.linalg`` functions that make the same calls.
 """
 
 import hashlib
@@ -24,11 +27,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import robustq
 import test_cli
+from robustq import GaugeField, Grid1D, PropagatorConfig, dynamic, stationary
 from robustq.cli import run
+from robustq.grid import kinetic_bands
 
 SMOKE = test_cli.TestAllExperimentsSmoke.CONFIGS
 WIDE_SCAN = {"theta_start": -1.3, "theta_stop": 7.0, "steps": 300,
@@ -69,6 +75,20 @@ CONFIGS = {
     "tise-solve-chunks": {
         "experiment": "tise-solve",
         "parameters": {"n_points": 5001, "n_states": 2}},
+    # the smallest grids: one interior node takes no LAPACK call in the
+    # eigensolve and a division in the step, two take the step's gtsv
+    "tise-solve-3": {
+        "experiment": "tise-solve",
+        "parameters": {"n_points": 3, "n_states": 1}},
+    "tise-solve-4": {
+        "experiment": "tise-solve",
+        "parameters": {"n_points": 4, "n_states": 2}},
+    "tdse-run-3": {
+        "experiment": "tdse-run",
+        "parameters": {"n_points": 3, "t_final": 0.01}},
+    "tdse-run-4": {
+        "experiment": "tdse-run",
+        "parameters": {"n_points": 4, "t_final": 0.01}},
     # the scan models the smoke configs leave out, over angles past [0, pi]
     "eprb-scan-triplet": {
         "experiment": "eprb-scan", "seed": 1,
@@ -165,6 +185,18 @@ DIGESTS = {
         "trace.csv":
             "4b0c38dffd0fa39255dc98eb05874ec41c493df9b6ad2fbbd5f78a7148a1d29f",
     },
+    "tdse-run-3": {
+        "final_state.csv":
+            "b3c890065e7854e411d6eb6f29b21d49675081ebdcbd13318eb62cab817dd961",
+        "trace.csv":
+            "965d9dc9764b6870e415269a78afc9099a24100e266cfe7e64dc038da1b4549b",
+    },
+    "tdse-run-4": {
+        "final_state.csv":
+            "bf545cce512b3fd350b151c9f3ae62c0a81a27ff59d6ad48d80154c2253fd25d",
+        "trace.csv":
+            "a1a68affa1d7acd8d33751bc5436b75fe29b2e9e8e65019b1787ae768a965111",
+    },
     "tdse-run-driven": {
         "final_state.csv":
             "2d8ed887a65e191e927cdebe7b4bf7a37c944117b0234f58a9576ffc576e5ad5",
@@ -176,6 +208,18 @@ DIGESTS = {
             "bfc61c78b2bcb0082e8ed7c2fbee620444eb9121645d234214137ca208605e31",
         "states.csv":
             "e4f59e1635504eed8e85167cd821189f093fa1e7444daeedc4719e174eceb659",
+    },
+    "tise-solve-3": {
+        "eigenvalues.csv":
+            "0b6d5a02e7d233e33065c9dab0a896f13341c5d78d9bce296be2fad65325e735",
+        "states.csv":
+            "7867207cfb929663b28720da62eb21c2ea74f35326da70b6dcda0ea23204b76c",
+    },
+    "tise-solve-4": {
+        "eigenvalues.csv":
+            "df8be949c113fb1d7d86fdbc48a3d108e2777db9cd28038b566833934153539c",
+        "states.csv":
+            "7f0c4b6fb2be7bac959b5fdafd4a7e41a1438f19a8bd8019d4194ff1d635315b",
     },
     "tise-solve-chunks": {
         "eigenvalues.csv":
@@ -201,21 +245,24 @@ def test_csv_bytes_match_pinned_digests(name, tmp_path):
 
 GRID_EXPERIMENTS = ("tise-solve", "tise-minimize", "tdse-run", "gauge-check")
 # Validates every config given, runs the named ones in order and prints
-# whether scipy was loaded after each stage, and the digests written.
+# which of scipy and scipy.linalg were loaded after each stage, and the
+# digests written.
 SCIPY_FREE_SCRIPT = """\
 import json, os, sys
 import robustq
 import robustq.cli as cli
 configs, order, out = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
-loaded = {"import": "scipy" in sys.modules}
+def loaded_now():
+    return [name for name in ("scipy", "scipy.linalg") if name in sys.modules]
+loaded = {"import": loaded_now()}
 for raw in configs.values():
     cli.validate_config(raw)
-loaded["validate"] = "scipy" in sys.modules
+loaded["validate"] = loaded_now()
 digests = {}
 for name in order:
     manifest = cli.run(configs[name], output_dir=os.path.join(out, name))
     digests[name] = {e["name"]: e["sha256"] for e in manifest.output_files}
-    loaded[name] = "scipy" in sys.modules
+    loaded[name] = loaded_now()
 print(json.dumps({"loaded": loaded, "digests": digests}))
 """
 
@@ -235,17 +282,19 @@ def test_only_grid_experiments_load_scipy(tmp_path):
     configs = {name: {"experiment": name, **config}
                for name, config in SMOKE.items()}
     plain = sorted(set(SMOKE) - set(GRID_EXPERIMENTS))
-    order = plain + ["tise-solve"]
+    order = plain + list(GRID_EXPERIMENTS)
     result = json.loads(fresh_interpreter(
         SCIPY_FREE_SCRIPT, json.dumps(configs), json.dumps(order),
         str(tmp_path)))
     assert result["loaded"] == {
-        **{stage: False for stage in ["import", "validate"] + plain},
-        "tise-solve": True}
-    assert result["digests"] == {name: DIGESTS[name] for name in order}
+        **{stage: [] for stage in ["import", "validate"] + plain},
+        **{name: ["scipy"] for name in GRID_EXPERIMENTS}}
+    pinned = [name for name in order if name in DIGESTS]  # no tise-minimize
+    assert {name: result["digests"][name] for name in pinned} == {
+        name: DIGESTS[name] for name in pinned}
 
 
-# Direct calls of the two grid solvers, each the first scipy user of its
+# Direct calls of the three grid solvers, each the first scipy user of its
 # interpreter; ``result`` is a list of arrays.
 SOLVER_CALLS = {
     "solve_eigen": """\
@@ -255,7 +304,18 @@ potential = ScalarField(grid, 0.5 * grid.nodes() ** 2, kind="potential")
 states = solve_eigen(StationaryProblem(potential, 0.0), grid, 2)
 result = [np.array([e for e, _ in states])] + [w.values for _, w in states]
 """,
-    # 399 interior nodes: the LU factors of ?gttrf, then ?gttrs
+    "minimize_functional": """\
+from robustq import Grid1D, ScalarField, StationaryProblem, minimize_functional
+grid = Grid1D.from_interval(-3.0, 3.0, 61)
+potential = ScalarField(grid, 0.5 * grid.nodes() ** 2, kind="potential")
+init = (ScalarField(grid, np.full(61, 1.0 / (61 * grid.spacing)),
+                    kind="density"),
+        ScalarField(grid, np.zeros(61), kind="action"))
+result = minimize_functional(StationaryProblem(potential, 0.5), grid, init,
+                             max_iter=50)
+result = [result.density.values, result.action.values, result.history]
+""",
+    # 399 interior nodes: the LU factors of zgttrf, then zgttrs
     "propagate": """\
 from robustq import GaugeField, Grid1D, PropagatorConfig, normalized_wave, propagate
 grid = Grid1D.from_interval(-10.0, 10.0, 401)
@@ -264,7 +324,7 @@ final, trace = propagate(psi0, GaugeField(), PropagatorConfig(
     grid=grid, dt=1e-3, t_final=0.02, sample_stride=5))
 result = [final.values, trace.norm, trace.width, trace.hje_residual]
 """,
-    # 2 interior nodes: solve_banded
+    # 2 interior nodes: zgtsv
     "propagate-two-nodes": """\
 from robustq import GaugeField, Grid1D, PropagatorConfig, normalized_wave, propagate
 grid = Grid1D.from_interval(-1.0, 1.0, 4)
@@ -277,7 +337,7 @@ result = [final.values, trace.norm, trace.mean_x]
 SOLVER_HEAD = "import sys\nimport numpy as np\nimport robustq\n"
 SOLVER_TAIL = """\
 import hashlib
-assert "scipy" in sys.modules
+assert "scipy" in sys.modules and "scipy.linalg" not in sys.modules
 print(hashlib.sha256(b"".join(a.tobytes() for a in result)).hexdigest())
 """
 
@@ -294,3 +354,43 @@ def test_grid_solver_loads_scipy_itself(name):
     expected = hashlib.sha256(b"".join(
         a.tobytes() for a in namespace["result"])).hexdigest()
     assert fresh_interpreter(code + SOLVER_TAIL).strip() == expected
+
+
+@pytest.mark.parametrize("n_interior", [1, 2, 3, 999, 19_999])
+def test_lapack_calls_match_scipy_linalg(n_interior):
+    # the eigensolve against eigh_tridiagonal, and the Crank-Nicolson solve
+    # against solve_banded, on the same bands, bit for bit
+    import scipy.linalg
+    grid = Grid1D.from_interval(-10.0, 10.0, n_interior + 2)
+    x = grid.nodes()[1:-1]
+    _, diag, off = kinetic_bands(1.0, 4.0, grid.spacing, 0.5 * x ** 2)
+    off = np.full(n_interior - 1, off)
+    # a zero in the middle splits the matrix into two blocks, whose
+    # eigenvalues interleave
+    split = off.copy()
+    if split.size:
+        split[split.size // 2] = 0.0
+    count = min(n_interior, 8)
+    for e in (off, split):
+        got = stationary._lowest_eigenpairs(diag, e, count)
+        expected = scipy.linalg.eigh_tridiagonal(diag, e, select="i",
+                                                 select_range=(0, count - 1))
+        for a, b in zip(got, expected):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                       b.tobytes())
+
+    fields = GaugeField(A=lambda xs, t: 0.3 * np.sin(xs),
+                        V=lambda xs, t: 0.5 * xs ** 2)
+    config = PropagatorConfig(grid=grid, dt=1e-3, t_final=0.0)
+    interior = np.exp(-x ** 2 + 0.5j * x)
+    cache = {"nodes": x, "links": 0.5 * (x[:-1] + x[1:])}
+    # the second step reuses the cached operator, whose bands the first
+    # solve must leave as they were
+    out, again = (dynamic._cn_step(interior, fields, 5e-4, config, cache)
+                  for _ in range(2))
+    op = cache["operator"]
+    rhs = op.explicit * interior
+    rhs[:-1] -= op.bands[0, 1:] * interior[1:]
+    rhs[1:] -= op.bands[2, :-1] * interior[:-1]
+    reference = scipy.linalg.solve_banded((1, 1), op.bands, rhs)
+    assert out.tobytes() == again.tobytes() == reference.tobytes()

@@ -35,5 +35,5 @@ _flapack = _load_flapack()
 dstebz, dstein = _flapack.dstebz, _flapack.dstein
 # symmetric positive definite tridiagonal factor and solve
 dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
-# general complex tridiagonal factor and solve, and the two in one call
-zgttrf, zgttrs, zgtsv = _flapack.zgttrf, _flapack.zgttrs, _flapack.zgtsv
+# general complex tridiagonal factor and solve
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs

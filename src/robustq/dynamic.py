@@ -53,7 +53,7 @@ class GaugeField:
     light_speed: float = 1.0
 
     def __post_init__(self):
-        if self.light_speed <= 0:
+        if not self.light_speed > 0:
             raise ValueError("light_speed must be positive")
 
     @classmethod
@@ -92,7 +92,7 @@ class PropagatorConfig:
             raise ValueError("dt must be positive")
         if self.t_final < 0:
             raise ValueError("t_final must be nonnegative")
-        if self.mass <= 0 or self.hbar <= 0:
+        if not (self.mass > 0 and self.hbar > 0):
             raise ValueError("mass and hbar must be positive")
         if self.lam not in (None, 4.0 / self.hbar ** 2):
             raise ValueError("lam must be 4 / hbar^2")
@@ -156,53 +156,53 @@ def observables(psi: WaveField) -> Observables:
 # ---------------------------------------------------------------------------
 
 class _CNOperator(NamedTuple):
-    """One step's Crank-Nicolson operator: the explicit half 1 - rH and
-    the implicit half 1 + rH (r = i dt / 2 hbar) as three bands in the
-    layout of ``scipy.linalg.solve_banded((1, 1), ...)``, with the LU
-    factors of ``zgttrf`` (None below three interior nodes, which the
-    LAPACK wrappers refuse)."""
+    """One step's Crank-Nicolson operator on the whole node vector: the
+    explicit half 1 - rH and the implicit half 1 + rH (r = i dt / 2 hbar)
+    as three bands in the layout of ``scipy.linalg.solve_banded((1, 1),
+    ...)``, and the LU factors of the implicit half from ``zgttrf``.  The
+    two wall rows are unit rows with no coupling, so LAPACK sees at least
+    three rows at every grid size."""
 
     explicit: np.ndarray
     bands: np.ndarray
-    lu: Optional[tuple]
+    lu: tuple
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused by the solve
 def _cn_operator(fields: GaugeField, a: np.ndarray, v: np.ndarray,
                  config: PropagatorConfig) -> _CNOperator:
-    """The operator of the tridiagonal H on the interior nodes, from A at
-    the link midpoints (``a``) and V at the nodes (``v``): the real bands
-    of :func:`grid.kinetic_bands`, the off-diagonal times the link phases.
-    Bands that are not finite raise LinearSolveError, with no
-    floating-point warning."""
+    """The operator of the tridiagonal H, from A at the interior link
+    midpoints (``a``) and V at the interior nodes (``v``): the real bands
+    of :func:`grid.kinetic_bands`, the off-diagonal times the link phases,
+    between the two wall rows.  Bands that are not finite raise
+    LinearSolveError, with no floating-point warning."""
     h, hbar = config.grid.spacing, config.hbar
     _, diag, off = kinetic_bands(config.mass, config.lam, h, v)
     link_phase = (fields.charge / (hbar * fields.light_speed)) * h * a
     r = 0.5j * config.dt / hbar
-    n = diag.size
+    r_diag = np.pad(r * diag, 1)  # zero on the walls: unit rows
     # conj(hop) is exp(+1j * link_phase) up to the sign of a zero imaginary
     # part (at link_phase -0.0), which no result depends on
     hop = np.exp(-1j * link_phase)
-    bands = np.zeros((3, n), dtype=complex)
-    bands[0, 1:] = r * (off * hop)
-    bands[1, :] = 1.0 + r * diag
-    bands[2, :-1] = r * (off * np.conj(hop))
+    bands = np.zeros((3, r_diag.size), dtype=complex)
+    bands[0, 2:-1] = r * (off * hop)
+    bands[1] = 1.0 + r_diag
+    bands[2, 1:-2] = r * (off * np.conj(hop))
     if not np.all(np.isfinite(bands.view(float))):
         raise LinearSolveError("tridiagonal solve failed: array must "
                                "not contain infs or NaNs")
-    lu = None
-    if n >= 3:
-        # gttrf + gttrs make the same eliminations as solve_banded's gtsv
-        from ._lapack import zgttrf  # at the call, as in stationary
-        *lu, info = zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
-        if info != 0:  # an exact zero pivot
-            raise LinearSolveError("tridiagonal solve failed: singular matrix")
-    return _CNOperator(1.0 - r * diag, bands, lu)
+    # gttrf + gttrs make the same eliminations as solve_banded's gtsv
+    from ._lapack import zgttrf  # at the call, as in stationary
+    *lu, info = zgttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    if info != 0:  # an exact zero pivot
+        raise LinearSolveError("tridiagonal solve failed: singular matrix")
+    return _CNOperator(1.0 - r_diag, bands, lu)
 
 
-def _cn_step(interior: np.ndarray, fields: GaugeField, t_mid: float,
+def _cn_step(psi: np.ndarray, fields: GaugeField, t_mid: float,
              config: PropagatorConfig, cache: dict) -> np.ndarray:
-    """One Crank-Nicolson step of the interior nodes.
+    """One Crank-Nicolson step of the whole node vector.  The walls of the
+    result are 0.0 whatever ``psi`` holds there.
 
     ``cache`` is a dict owned by one propagation.  It holds the interior
     ``nodes`` and the ``links`` midpoints between them, and keeps the last
@@ -219,23 +219,12 @@ def _cn_step(interior: np.ndarray, fields: GaugeField, t_mid: float,
     else:
         op = _cn_operator(fields, a, v, config)
         cache.update(bits=bits, operator=op)
-    rhs = op.explicit * interior
-    rhs[:-1] -= op.bands[0, 1:] * interior[1:]
-    rhs[1:] -= op.bands[2, :-1] * interior[:-1]
-    if op.lu is not None:
-        from ._lapack import zgttrs
-        out, _ = zgttrs(*op.lu, rhs, overwrite_b=True)
-    elif rhs.size == 1:
-        out = rhs / op.bands[1, 0]
-    else:
-        # solve_banded's gtsv call, whose copies leave the cached bands as
-        # they are for the next step
-        from ._lapack import zgtsv
-        *_, out, info = zgtsv(op.bands[2, :-1], op.bands[1], op.bands[0, 1:],
-                              rhs)
-        if info > 0:
-            raise LinearSolveError("tridiagonal solve failed: singular "
-                                   "matrix")
+    rhs = op.explicit * psi
+    rhs[:-1] -= op.bands[0, 1:] * psi[1:]
+    rhs[1:] -= op.bands[2, :-1] * psi[:-1]
+    rhs[0] = rhs[-1] = 0.0  # the Dirichlet walls
+    from ._lapack import zgttrs
+    out, _ = zgttrs(*op.lu, rhs, overwrite_b=True)
     if not np.all(np.isfinite(out.view(float))):
         raise LinearSolveError("tridiagonal solve produced non-finite values")
     return out
@@ -280,18 +269,14 @@ def propagate(psi0: WaveField, fields: GaugeField, config: PropagatorConfig
                          obs.fisher_spatial, np.nan])
         if step == n_steps:
             break
-        nxt = np.zeros_like(current)
-        nxt[1:-1] = _cn_step(current[1:-1], fields, t + 0.5 * config.dt,
-                             config, cache)
+        nxt = _cn_step(current, fields, t + 0.5 * config.dt, config, cache)
         if sampled and step > 0:
             rows[-1][-1] = _hje_residual_triplet(
                 grid, previous, current, nxt, config.dt, fields, t, config)
         previous, current = current, nxt
 
-    final = WaveField(grid, current,
-                      normalized=abs(grid.spacing
-                                     * float((np.abs(current) ** 2).sum())
-                                     - 1.0) <= 1e-10)
+    # the last step is always sampled: obs is the final field's
+    final = WaveField(grid, current, normalized=abs(obs.norm - 1.0) <= 1e-10)
     return final, ObservableTrace(*np.array(rows).T)
 
 

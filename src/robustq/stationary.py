@@ -64,11 +64,11 @@ class StationaryProblem:
     lam: Optional[float] = None
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0:
+        if not (self.mass > 0 and self.hbar > 0):
             raise ValueError("mass and hbar must be positive")
         if self.lam is None:
             object.__setattr__(self, "lam", 4.0 / self.hbar ** 2)
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
 
     @property

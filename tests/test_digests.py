@@ -76,7 +76,8 @@ CONFIGS = {
         "experiment": "tise-solve",
         "parameters": {"n_points": 5001, "n_states": 2}},
     # the smallest grids: one interior node takes no LAPACK call in the
-    # eigensolve and a division in the step, two take the step's gtsv
+    # eigensolve, and the step's systems are three and four rows, the
+    # walls' unit rows among them
     "tise-solve-3": {
         "experiment": "tise-solve",
         "parameters": {"n_points": 3, "n_states": 1}},
@@ -315,7 +316,7 @@ result = minimize_functional(StationaryProblem(potential, 0.5), grid, init,
                              max_iter=50)
 result = [result.density.values, result.action.values, result.history]
 """,
-    # 399 interior nodes: the LU factors of zgttrf, then zgttrs
+    # 399 interior nodes between the walls' unit rows: zgttrf, then zgttrs
     "propagate": """\
 from robustq import GaugeField, Grid1D, PropagatorConfig, normalized_wave, propagate
 grid = Grid1D.from_interval(-10.0, 10.0, 401)
@@ -324,7 +325,7 @@ final, trace = propagate(psi0, GaugeField(), PropagatorConfig(
     grid=grid, dt=1e-3, t_final=0.02, sample_stride=5))
 result = [final.values, trace.norm, trace.width, trace.hje_residual]
 """,
-    # 2 interior nodes: zgtsv
+    # 2 interior nodes: the smallest system with a coupling, four rows
     "propagate-two-nodes": """\
 from robustq import GaugeField, Grid1D, PropagatorConfig, normalized_wave, propagate
 grid = Grid1D.from_interval(-1.0, 1.0, 4)
@@ -382,15 +383,19 @@ def test_lapack_calls_match_scipy_linalg(n_interior):
     fields = GaugeField(A=lambda xs, t: 0.3 * np.sin(xs),
                         V=lambda xs, t: 0.5 * xs ** 2)
     config = PropagatorConfig(grid=grid, dt=1e-3, t_final=0.0)
-    interior = np.exp(-x ** 2 + 0.5j * x)
+    # nonzero walls, which the step must return as +0.0
+    psi = np.pad(np.exp(-x ** 2 + 0.5j * x), 1, constant_values=-0.3 - 0.4j)
     cache = {"nodes": x, "links": 0.5 * (x[:-1] + x[1:])}
-    # the second step reuses the cached operator, whose bands the first
+    # the second step reuses the cached operator, whose factors the first
     # solve must leave as they were
-    out, again = (dynamic._cn_step(interior, fields, 5e-4, config, cache)
+    out, again = (dynamic._cn_step(psi, fields, 5e-4, config, cache)
                   for _ in range(2))
+    # solve_banded on the interior system alone, padded with zeros
     op = cache["operator"]
-    rhs = op.explicit * interior
-    rhs[:-1] -= op.bands[0, 1:] * interior[1:]
-    rhs[1:] -= op.bands[2, :-1] * interior[:-1]
-    reference = scipy.linalg.solve_banded((1, 1), op.bands, rhs)
+    interior, explicit, bands = psi[1:-1], op.explicit[1:-1], op.bands[:, 1:-1]
+    rhs = explicit * interior
+    rhs[:-1] -= bands[0, 1:] * interior[1:]
+    rhs[1:] -= bands[2, :-1] * interior[:-1]
+    reference = np.pad(scipy.linalg.solve_banded((1, 1), bands, rhs), 1)
+    assert not np.signbit(out[[0, -1]].view(float)).any()
     assert out.tobytes() == again.tobytes() == reference.tobytes()

@@ -48,6 +48,20 @@ class TestPropagatorConfig:
         with pytest.raises(ValueError, match="4 / hbar"):
             PropagatorConfig(grid=grid, dt=0.1, t_final=0.1, lam=lam)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["mass", "hbar"])
+    def test_nonpositive_constants_refused(self, name, value):
+        grid = Grid1D.from_interval(-1, 1, 11)
+        with pytest.raises(ValueError, match="mass and hbar"):
+            PropagatorConfig(grid=grid, dt=0.1, t_final=0.1, **{name: value})
+
+
+class TestGaugeField:
+    @pytest.mark.parametrize("light_speed", [0.0, -1.0, math.nan])
+    def test_nonpositive_light_speed_refused(self, light_speed):
+        with pytest.raises(ValueError, match="light_speed"):
+            GaugeField(light_speed=light_speed)
+
 
 class TestObservables:
     def test_gaussian_moments_and_fisher(self):
@@ -426,12 +440,14 @@ def reference_hamiltonian(grid, fields, t, mass, hbar):
     return diag, upper, lower
 
 
-def reference_cn_step(interior, fields, t_mid, config, cache=None):
-    """One Crank-Nicolson step that builds the operator and solves with
-    solve_banded every time; ``cache`` is ignored."""
+def reference_cn_step(psi, fields, t_mid, config, cache=None):
+    """One Crank-Nicolson step of the whole node vector that builds the
+    interior operator and solves it with solve_banded every time, the walls
+    padded with zeros; ``cache`` is ignored."""
     diag, upper, lower = reference_hamiltonian(config.grid, fields, t_mid,
                                                config.mass, config.hbar)
     r = 0.5j * config.dt / config.hbar
+    interior = psi[1:-1]
     rhs = (1.0 - r * diag) * interior
     rhs[:-1] -= r * upper * interior[1:]
     rhs[1:] -= r * lower * interior[:-1]
@@ -446,7 +462,7 @@ def reference_cn_step(interior, fields, t_mid, config, cache=None):
         raise LinearSolveError(f"tridiagonal solve failed: {exc}") from exc
     if not np.all(np.isfinite(out.view(float))):
         raise LinearSolveError("tridiagonal solve produced non-finite values")
-    return out
+    return np.pad(out, 1)
 
 
 def outcome(psi0, fields, config):
@@ -522,7 +538,8 @@ class TestOperatorReuse:
     @pytest.mark.parametrize("n_points", [3, 4, 5])
     @pytest.mark.parametrize("name", sorted(FIELDS))
     def test_smallest_interiors(self, n_points, name, stride, monkeypatch):
-        # 1 and 2 interior nodes go through solve_banded, 3 through ?gttrf;
+        # 1 interior node takes solve_banded's division, 2 and 3 its gtsv,
+        # against the step's gttrs on the walls' unit rows as everywhere;
         # sampling every other step fails alike (the residual finds no
         # phase on 1 or 2 interior nodes), sampling only the ends does not
         grid = Grid1D.from_interval(-1, 1, n_points)

@@ -528,3 +528,14 @@ class TestNonDefaultUnits:
         states = solve_eigen(problem, grid, 2)
         assert states[0][0] == pytest.approx(0.25, abs=1e-5)
         assert states[1][0] == pytest.approx(0.75, abs=1e-4)
+
+
+class TestStationaryProblem:
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["mass", "hbar", "lam"])
+    def test_nonpositive_constants_refused(self, name, value):
+        grid = grid_on(-1, 1, 11)
+        potential = ScalarField(grid, np.zeros(11), kind="potential")
+        with pytest.raises(ValueError, match="must be positive"):
+            StationaryProblem(potential=potential, energy=0.0,
+                              **{name: value})

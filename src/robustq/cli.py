@@ -14,27 +14,31 @@ the worker count for parameter scans, which never exceeds the CPU count.
 
 from __future__ import annotations
 
-import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 import traceback
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, NamedTuple,
+                    Optional)
 
 import numpy as np
 
 from . import __version__
-from . import dynamic, eprb, inference, rng, stationary, sterngerlach
 from .errors import ConfigError, InvalidModelError, RobustqError
-from .grid import (Grid1D, ScalarField, WaveField, _dot, kinetic_bands,
-                   normalized_wave)
+
+# The library modules are imported by the functions that call them, so a
+# run loads its own experiment family's alone: a scan never loads the grid
+# solvers or scipy, a grid experiment never the samplers.  Calls go through
+# the module attribute (rng.sample_outcome_counts, ...), where a wrapper
+# set on the module takes effect.
+if TYPE_CHECKING:
+    from . import dynamic, eprb
+    from .grid import Grid1D, ScalarField, WaveField
 
 THREADS_ENV = "ROBUSTQ_THREADS"
 
@@ -237,6 +241,12 @@ def _check_relations(top: dict, diags: list) -> Optional[GridArrays]:
     and a grid experiment's arrays, built once the other rules pass.
     Where the library owns a rule, it is asked rather than restated."""
     phys, p = top["physics"], top["parameters"]
+    if "x_min" in p:
+        # the grid family (dynamic imports stationary and grid) before any
+        # of the run's arrays: compiled between freed arrays, the modules'
+        # long-lived objects split the heap's free space, and the grid
+        # benchmark's peak RSS grew by 2.4 MB in some checkouts
+        from . import dynamic
     budgets = []  # (key path, what the run needs, budget, unit)
     hbar_sq = phys["hbar"] * phys["hbar"]
     if not (0.0 < hbar_sq < math.inf and 4.0 / hbar_sq < math.inf):
@@ -296,6 +306,7 @@ def _check_relations(top: dict, diags: list) -> Optional[GridArrays]:
             diags.append(f"parameters.counts: must sum to parameters.n_total "
                          f"({p['n_total']}); got {sum(p['counts'])}")
         elif "probs" in p:
+            from . import inference
             table = inference.OutcomeTable(
                 outcomes=range(p["n_outcomes"]), probs=p["probs"])
             diags.extend(f"parameters.probs: {violation}"
@@ -368,7 +379,11 @@ def _write_atomic(path: str, chunks: Iterable[bytes]) -> None:
     and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # mode 0666 less the umask, as open() gives; tempfile.mkstemp's 0600
+    # would survive the rename
+    tmp = os.path.join(directory, f"{os.path.basename(path)}."
+                       f"{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
@@ -463,6 +478,7 @@ def _worker_cap() -> int:
 # ---------------------------------------------------------------------------
 
 def build_potential(spec: dict, grid: Grid1D) -> ScalarField:
+    from .grid import ScalarField
     x = grid.nodes()
     if spec["kind"] == "harmonic":
         values = 0.5 * spec["omega"] ** 2 * (x - spec["center"]) ** 2
@@ -493,6 +509,7 @@ def build_chi(spec: dict) -> Callable:
 
 
 def build_initial(spec: dict, grid: Grid1D) -> WaveField:
+    from .grid import normalized_wave
     sigma, x0, k0 = spec["sigma"], spec["x0"], spec["k0"]  # "gaussian"
     x = grid.nodes()
     packet = np.exp(-(x - x0) ** 2 / (4.0 * sigma ** 2)) \
@@ -503,6 +520,7 @@ def build_initial(spec: dict, grid: Grid1D) -> WaveField:
 
 
 def build_model(spec: dict) -> eprb.CorrelationModel:
+    from . import eprb
     if spec["kind"] == "singlet":
         return eprb.CorrelationModel.singlet()
     if spec["kind"] == "triplet_z0":
@@ -548,6 +566,7 @@ def build_grid_arrays(p: dict, phys: dict) -> GridArrays:
     t_final.  Raises ConfigError at the key path whose value makes an
     array overflow, vanish or not be finite; chi is blamed for a transform
     that fails at unit constants too, else the charge."""
+    from .grid import Grid1D, kinetic_bands, normalized_wave
     h = (p["x_max"] - p["x_min"]) / (p["n_points"] - 1)
     lam = 4.0 / phys["hbar"] ** 2
     _, diag, _ = kinetic_bands(phys["mass"], lam, h)
@@ -566,6 +585,7 @@ def build_grid_arrays(p: dict, phys: dict) -> GridArrays:
         raise kinetic
     if "initial" not in p:  # tise-solve, tise-minimize
         return GridArrays(grid, potential, None, None, None)
+    from . import dynamic
     psi0 = _on_grid("parameters.initial", "the packet", build_initial,
                     p["initial"], grid)
     x = grid.nodes()
@@ -622,6 +642,8 @@ def _run_scan(config: RunConfig, rows, sim_stat, variance, names):
     count at every angle; ``variance`` maps the model column to the
     per-trial variance.  Each worker tallies one contiguous slice of the
     rows in one call."""
+    import concurrent.futures
+    from . import rng
     params = config.parameters
     thetas = np.linspace(params["theta_start"], params["theta_stop"],
                          params["steps"] + 1)
@@ -649,6 +671,7 @@ def _run_scan(config: RunConfig, rows, sim_stat, variance, names):
 
 
 def _run_eprb_scan(config: RunConfig):
+    from . import eprb
     model = build_model(config.parameters["model"])
 
     def rows(thetas):
@@ -664,6 +687,7 @@ def _run_eprb_scan(config: RunConfig):
 
 
 def _run_sg_scan(config: RunConfig):
+    from . import sterngerlach
     sign = config.parameters["branch_sign"]
 
     def rows(thetas):
@@ -678,6 +702,7 @@ def _run_sg_scan(config: RunConfig):
 
 
 def _run_eprb_simulate(config: RunConfig):
+    from . import eprb
     params = config.parameters
     model = build_model(params["model"])
     theta = params["theta"]
@@ -702,6 +727,7 @@ def _run_eprb_simulate(config: RunConfig):
 
 
 def _run_evidence(config: RunConfig):
+    from . import eprb, inference
     params = config.parameters
     model = build_model(params["model"])
     theta = params["theta"]
@@ -723,6 +749,7 @@ def _run_evidence(config: RunConfig):
 
 
 def _run_count_maximizer(config: RunConfig):
+    from . import inference
     params = config.parameters
     data = np.array(params["probs" if "probs" in params else "counts"])
     report = inference.frequency_maximizer_suite(
@@ -748,6 +775,7 @@ def _run_count_maximizer(config: RunConfig):
 
 
 def _stationary_problem(config: RunConfig, energy: float = 0.0):
+    from . import stationary
     phys = config.physics
     return stationary.StationaryProblem(potential=config.arrays.potential,
                                         energy=energy, mass=phys.mass,
@@ -755,6 +783,7 @@ def _stationary_problem(config: RunConfig, energy: float = 0.0):
 
 
 def _run_tise_solve(config: RunConfig):
+    from . import stationary
     grid = config.arrays.grid
     states = stationary.solve_eigen(_stationary_problem(config), grid,
                                     config.parameters["n_states"])
@@ -774,6 +803,8 @@ def _run_tise_solve(config: RunConfig):
 def _run_tise_minimize(config: RunConfig):
     """One ``minimize_functional`` call from the uniform density at the
     eigensolver's ground-state energy, cross-checked against that state."""
+    from . import stationary
+    from .grid import ScalarField
     params, grid = config.parameters, config.arrays.grid
     (energy0, ground) = stationary.solve_eigen(
         _stationary_problem(config), grid, 1)[0]
@@ -804,6 +835,7 @@ def _run_tise_minimize(config: RunConfig):
 
 
 def _propagator(config: RunConfig, sample_stride: int):
+    from . import dynamic
     params, phys = config.parameters, config.physics
     return dynamic.PropagatorConfig(grid=config.arrays.grid, dt=params["dt"],
                                     t_final=params["t_final"],
@@ -812,6 +844,7 @@ def _propagator(config: RunConfig, sample_stride: int):
 
 
 def _run_tdse(config: RunConfig):
+    from . import dynamic
     arrays = config.arrays
     prop = _propagator(config, config.parameters["sample_stride"])
     final, trace = dynamic.propagate(arrays.psi0, arrays.fields, prop)
@@ -830,6 +863,8 @@ def _run_tdse(config: RunConfig):
 
 
 def _run_gauge_check(config: RunConfig):
+    from . import dynamic
+    from .grid import _dot
     params, arrays = config.parameters, config.arrays
     prop = _propagator(config, 10 ** 9)
     evolved, _ = dynamic.propagate(arrays.psi0, arrays.fields, prop)
@@ -934,6 +969,7 @@ def run(raw_config: dict, output_dir: Optional[str] = None) -> RunManifest:
 
 
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="robustq",
         description="Robust-inference experiments: simulation, evidence, "

@@ -88,9 +88,9 @@ class PropagatorConfig:
     sample_stride: int = 10
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_final < 0:
+        if not self.t_final >= 0:
             raise ValueError("t_final must be nonnegative")
         if not (self.mass > 0 and self.hbar > 0):
             raise ValueError("mass and hbar must be positive")

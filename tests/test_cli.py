@@ -11,6 +11,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -371,6 +372,76 @@ class TestRun:
         assert list(manifest) == ["config_digest", "tool_version", "started",
                                   "finished", "status", "error",
                                   "output_files"]
+
+    @pytest.mark.parametrize("umask", [0o002, 0o022, 0o027], ids=oct)
+    def test_output_modes_follow_the_umask(self, umask, tmp_path):
+        # 0666 less the umask, as open() makes a file, the manifest included
+        raw = {"experiment": "count-maximizer",
+               "parameters": {"n_outcomes": 2, "n_total": 3,
+                              "probs": [0.5, 0.5]}}
+        previous = os.umask(umask)
+        try:
+            manifest = run(raw, output_dir=str(tmp_path))
+        finally:
+            os.umask(previous)
+        assert manifest.status == "ok"
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(
+            ["assignments.csv", "summary.csv", "manifest.json"],
+            0o666 & ~umask)
+
+
+# robustq.__all__ as it was when every submodule was imported eagerly: the
+# public names of the submodules and the submodules themselves
+EXPORTED = {
+    "BoundCheck", "BranchError", "ConfigError", "ConvergenceError",
+    "CorrelationModel", "CountRecord", "Decomposition", "DomainError",
+    "DynamicFormBreakdown", "EmptyDataError", "EventStatistics",
+    "EvidenceReport", "FisherReport", "FrequencyAssignment", "GaugeField",
+    "Grid1D", "InvalidModelError", "LinearSolveError", "MagnetSetting",
+    "MaximizerReport", "MinimizeResult", "ObservableTrace", "Observables",
+    "OutcomeTable", "PairCounts", "PhaseUndefinedError", "PropagatorConfig",
+    "ResourceError", "RobustqError", "RouterSetting", "ScalarField",
+    "ShiftVerdict", "StabilityError", "StationaryProblem", "WaveField",
+    "accumulate_statistics", "avg_hje_residual", "continuum_fisher",
+    "decompose", "density_functional", "dynamic", "dynamic_wave_functional",
+    "eprb", "errors", "evidence_bound_check", "evidence_quadratic",
+    "fisher_discrete", "frequency_maximizer_suite", "functional_gradient",
+    "gauge_transform", "grid", "hje_residual", "inference", "log_evidence",
+    "log_multinomial_iprob", "madelung_join", "madelung_split",
+    "minimize_functional", "model_correlation", "multinomial_iprob",
+    "normalized_wave", "observables", "pair_table",
+    "pair_table_from_correlation", "propagate", "recompose", "rng",
+    "sg_table", "sg_table_from_angle", "shift_covariance_check",
+    "simulate_pairs", "simulate_pairs_from_table", "simulate_sg",
+    "solve_eigen", "solve_robust_ode", "stationary", "sterngerlach",
+    "validate_table", "wave_functional",
+}
+
+
+class TestPackageNamespace:
+    def test_all_lists_the_exported_names(self):
+        assert set(robustq.__all__) == EXPORTED
+        assert len(robustq.__all__) == len(EXPORTED)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from robustq import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == EXPORTED
+        for name, value in namespace.items():
+            assert getattr(robustq, name) is value
+
+    def test_names_and_submodules_resolve(self):
+        assert robustq.dynamic is sys.modules["robustq.dynamic"]
+        assert robustq.propagate is robustq.dynamic.propagate
+        assert robustq.Grid1D is robustq.grid.Grid1D
+        assert robustq.errors.RobustqError is robustq.RobustqError
+        assert EXPORTED <= set(dir(robustq))
+        assert not hasattr(robustq, "no_such_name")
+        with pytest.raises(AttributeError, match="no_such_name"):
+            robustq.no_such_name
 
 
 class TestMainExitCodes:

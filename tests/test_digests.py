@@ -13,8 +13,10 @@ iteration count may change legitimately, so the benchmark holds it to
 gates instead of digests.  The recorded bytes were the same with
 OPENBLAS_NUM_THREADS and ROBUSTQ_THREADS both set to 1 and both set to 2.
 
-The last tests run fresh interpreters: only the grid experiments load
-scipy, none loads ``scipy.linalg``, and the grid solvers write the same
+The last tests run fresh interpreters: each experiment family loads only
+its own modules (only the grid experiments load scipy, none loads
+``scipy.linalg``, only the counting ones the samplers), and the grid
+solvers write the same
 bytes when they are the first code of their process to load scipy.  The
 LAPACK calls the solvers make give, bit for bit, the results of the
 ``scipy.linalg`` functions that make the same calls.
@@ -245,27 +247,50 @@ def test_csv_bytes_match_pinned_digests(name, tmp_path):
 
 
 GRID_EXPERIMENTS = ("tise-solve", "tise-minimize", "tdse-run", "gauge-check")
-# Validates every config given, runs the named ones in order and prints
-# which of scipy and scipy.linalg were loaded after each stage, and the
-# digests written.
-SCIPY_FREE_SCRIPT = """\
+# Imports robustq.cli, validates the configs given, runs them in order, and
+# prints the robustq modules and the watched modules loaded after each
+# stage, and the digests written.
+MODULE_LOADS_SCRIPT = """\
 import json, os, sys
-import robustq
 import robustq.cli as cli
-configs, order, out = json.loads(sys.argv[1]), json.loads(sys.argv[2]), sys.argv[3]
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+WATCHED = ("numpy.random", "concurrent.futures", "scipy", "scipy.linalg")
 def loaded_now():
-    return [name for name in ("scipy", "scipy.linalg") if name in sys.modules]
+    return sorted(name for name in sys.modules
+                  if name.partition(".")[0] == "robustq" or name in WATCHED)
 loaded = {"import": loaded_now()}
 for raw in configs.values():
     cli.validate_config(raw)
 loaded["validate"] = loaded_now()
 digests = {}
-for name in order:
-    manifest = cli.run(configs[name], output_dir=os.path.join(out, name))
+for name, raw in configs.items():
+    manifest = cli.run(raw, output_dir=os.path.join(out, name))
     digests[name] = {e["name"]: e["sha256"] for e in manifest.output_files}
     loaded[name] = loaded_now()
 print(json.dumps({"loaded": loaded, "digests": digests}))
 """
+# Each family runs in its own interpreter, its experiments in this order,
+# with the modules each stage adds to those loaded before it.  Importing
+# the CLI loads robustq, robustq.cli and robustq.errors alone; a grid
+# experiment never loads the samplers, numpy.random or a thread pool, a
+# counting experiment never loads the grid solvers or scipy, and
+# count-maximizer loads the inference module alone.
+MODULE_LOADS = {
+    "counting": {
+        "validate": ["robustq.eprb", "robustq.inference", "robustq.rng"],
+        "eprb-simulate": ["numpy.random"],
+        "evidence": [],
+        "eprb-scan": ["concurrent.futures"],
+        "sg-scan": ["robustq.sterngerlach"]},
+    "count-maximizer": {
+        "validate": ["robustq.inference"],
+        "count-maximizer": []},
+    "grid": {
+        "validate": ["robustq.dynamic", "robustq.grid", "robustq.stationary"],
+        # _csvfloat: each writes a float table of at least 512 values
+        "tise-solve": ["robustq._csvfloat", "robustq._lapack", "scipy"],
+        "tise-minimize": [], "tdse-run": [], "gauge-check": []},
+}
 
 
 def fresh_interpreter(code, *args):
@@ -280,18 +305,21 @@ def fresh_interpreter(code, *args):
 
 
 def test_only_grid_experiments_load_scipy(tmp_path):
-    configs = {name: {"experiment": name, **config}
-               for name, config in SMOKE.items()}
-    plain = sorted(set(SMOKE) - set(GRID_EXPERIMENTS))
-    order = plain + list(GRID_EXPERIMENTS)
-    result = json.loads(fresh_interpreter(
-        SCIPY_FREE_SCRIPT, json.dumps(configs), json.dumps(order),
-        str(tmp_path)))
-    assert result["loaded"] == {
-        **{stage: [] for stage in ["import", "validate"] + plain},
-        **{name: ["scipy"] for name in GRID_EXPERIMENTS}}
-    pinned = [name for name in order if name in DIGESTS]  # no tise-minimize
-    assert {name: result["digests"][name] for name in pinned} == {
+    digests = {}
+    for family, stages in MODULE_LOADS.items():
+        configs = {name: {"experiment": name, **SMOKE[name]}
+                   for name in stages if name != "validate"}
+        result = json.loads(fresh_interpreter(
+            MODULE_LOADS_SCRIPT, json.dumps(configs), str(tmp_path)))
+        loaded = ["robustq", "robustq.cli", "robustq.errors"]
+        expected = {"import": loaded}
+        for stage, added in stages.items():
+            loaded = expected[stage] = sorted(loaded + added)
+        assert result["loaded"] == expected, family
+        digests.update(result["digests"])
+    assert set(digests) == set(SMOKE)
+    pinned = [name for name in digests if name in DIGESTS]  # no tise-minimize
+    assert {name: digests[name] for name in pinned} == {
         name: DIGESTS[name] for name in pinned}
 
 

@@ -55,6 +55,18 @@ class TestPropagatorConfig:
         with pytest.raises(ValueError, match="mass and hbar"):
             PropagatorConfig(grid=grid, dt=0.1, t_final=0.1, **{name: value})
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
+    def test_nonpositive_dt_refused(self, dt):
+        grid = Grid1D.from_interval(-1, 1, 11)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            PropagatorConfig(grid=grid, dt=dt, t_final=0.1)
+
+    @pytest.mark.parametrize("t_final", [-0.1, math.nan])
+    def test_negative_t_final_refused(self, t_final):
+        grid = Grid1D.from_interval(-1, 1, 11)
+        with pytest.raises(ValueError, match="t_final must be nonnegative"):
+            PropagatorConfig(grid=grid, dt=0.1, t_final=t_final)
+
 
 class TestGaugeField:
     @pytest.mark.parametrize("light_speed", [0.0, -1.0, math.nan])
